@@ -31,7 +31,7 @@ from .harmonics import (
     invariant_degrees,
     molien,
 )
-from .scalars import QQ, CycloScalar, RatPoly
+from .scalars import QQ, CycloScalar, RatPoly, prime_factors
 
 TABLE_CAP = 2000
 
@@ -96,42 +96,18 @@ def conjugacy_classes(group: ReflectionGroup) -> ClassData:
     return data
 
 
-def _is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
-
-
-def _prime_factors(n: int):
-    out = set()
-    d = 2
-    while d * d <= n:
-        while n % d == 0:
-            out.add(d)
-            n //= d
-        d += 1
-    if n > 1:
-        out.add(n)
-    return out
-
-
 def _choose_prime(order: int, exponent: int) -> int:
     # p = 1 (mod e) so F_p holds the needed roots of unity; p^2 > 4|G|
     # so degrees and multiplicities are recoverable from their residues.
     p = exponent + 1
     while True:
-        if p * p > 4 * order and order % p and _is_prime(p):
+        if p * p > 4 * order and order % p and prime_factors(p) == (p,):
             return p
         p += exponent
 
 
 def _primitive_root(p: int) -> int:
-    fac = _prime_factors(p - 1)
+    fac = prime_factors(p - 1)
     for g in range(2, p):
         if all(pow(g, (p - 1) // q, p) != 1 for q in fac):
             return g
@@ -142,38 +118,41 @@ def _matvec_mod(mat, vec, p):
     return [sum(m * v for m, v in zip(row, vec)) % p for row in mat]
 
 
+def _rref_mod(rows, p, ncols):
+    """Reduced row echelon form over F_p, pivoting in the first ncols
+    columns only.  Returns (rows, pivots): every input row, reduced mod p,
+    with the pivot rows first."""
+    mat = [[v % p for v in row] for row in rows]
+    pivots = []
+    for col in range(ncols):
+        sel = next((r for r in range(len(pivots), len(mat)) if mat[r][col]),
+                   None)
+        if sel is None:
+            continue
+        rank = len(pivots)
+        mat[rank], mat[sel] = mat[sel], mat[rank]
+        inv = pow(mat[rank][col], p - 2, p)
+        mat[rank] = [v * inv % p for v in mat[rank]]
+        for r in range(len(mat)):
+            f = mat[r][col]
+            if r != rank and f:
+                mat[r] = [(a - f * b) % p for a, b in zip(mat[r], mat[rank])]
+        pivots.append(col)
+    return mat, pivots
+
+
 def _kernel_mod(mat, p):
     """Basis of the kernel of a square matrix over F_p."""
     m = len(mat)
-    rows = [row[:] for row in mat]
-    pivots = {}
-    rank = 0
-    for col in range(m):
-        sel = None
-        for r in range(rank, m):
-            if rows[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            continue
-        rows[rank], rows[sel] = rows[sel], rows[rank]
-        inv = pow(rows[rank][col], p - 2, p)
-        rows[rank] = [v * inv % p for v in rows[rank]]
-        for r in range(m):
-            if r != rank and rows[r][col]:
-                f = rows[r][col]
-                rows[r] = [(a - f * b) % p for a, b in zip(rows[r],
-                                                           rows[rank])]
-        pivots[col] = rank
-        rank += 1
+    ech, pivots = _rref_mod(mat, p, m)
     basis = []
     for free in range(m):
         if free in pivots:
             continue
         v = [0] * m
         v[free] = 1
-        for col, r in pivots.items():
-            v[col] = -rows[r][free] % p
+        for r, col in enumerate(pivots):
+            v[col] = -ech[r][free] % p
         basis.append(v)
     return basis
 
@@ -182,31 +161,14 @@ def _coordinates_mod(basis, targets, p):
     """Express each target vector in the given basis (all columns over
     F_p); raises if a target leaves the span."""
     m = len(basis)
-    k = len(basis[0])
-    width = m + len(targets)
-    aug = [[basis[c][row] for c in range(m)]
-           + [t[row] for t in targets] for row in range(k)]
-    rank = 0
-    for col in range(m):
-        sel = None
-        for r in range(rank, k):
-            if aug[r][col] % p:
-                sel = r
-                break
-        if sel is None:
-            raise DomainError("degenerate subspace basis")
-        aug[rank], aug[sel] = aug[sel], aug[rank]
-        inv = pow(aug[rank][col], p - 2, p)
-        aug[rank] = [v * inv % p for v in aug[rank]]
-        for r in range(k):
-            if r != rank and aug[r][col]:
-                f = aug[r][col]
-                aug[r] = [(a - f * b) % p for a, b in zip(aug[r], aug[rank])]
-        rank += 1
-    for r in range(m, k):
-        if any(aug[r][c] % p for c in range(m, width)):
-            raise DomainError("vector leaves an invariant subspace")
-    return [[aug[r][m + j] for j in range(len(targets))] for r in range(m)]
+    aug = [[b[row] for b in basis] + [t[row] for t in targets]
+           for row in range(len(basis[0]))]
+    ech, pivots = _rref_mod(aug, p, m)
+    if len(pivots) != m:
+        raise DomainError("degenerate subspace basis")
+    if any(v for row in ech[m:] for v in row[m:]):
+        raise DomainError("vector leaves an invariant subspace")
+    return [row[m:] for row in ech[:m]]
 
 
 def _combine_mod(basis, coeffs, p):

@@ -28,12 +28,13 @@ import weakref
 
 from .errors import DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup
-from .linalg import SpanSolver, kernel_basis, rref
+from .linalg import SpanSolver, kernel_basis, mat_inv, rref
 from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
     MPoly,
     _monomial_shape,
+    coerce_matrix,
     monomials_of_degree,
 )
 from .scalars import QQ, CycloScalar, RatPoly, RatSeries
@@ -304,11 +305,6 @@ def _peel_degrees(series: RatSeries, ell: int, trunc: int):
 
 def _vec(poly: MPoly, monos):
     return poly.coeff_vector(monos)
-
-
-def _poly_from_terms(space, nvars, terms):
-    return MPoly(space, nvars, {e: CycloScalar.coerce(c)
-                                for e, c in terms.items() if c})
 
 
 def invariant_basis(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
@@ -827,12 +823,13 @@ def action_matrix(basis, mat, mat_inverse=None):
     nv = basis[0].nvars
     d = basis[0].homogeneous_degree()
     monos = monomials_of_degree(nv, d)
+    if mat_inverse is None and space == CONTRAVARIANT:
+        mat_inverse = mat_inv(coerce_matrix(mat))
     span = SpanSolver([_vec(p, monos) for p in basis])
     rows = []
     for p in basis:
-        image = p.act(mat, mat_inverse)
-        v = _vec(image, monos)
-        if not span.contains(v):
+        coords = span.express(_vec(p.act(mat, mat_inverse), monos))
+        if coords is None:
             raise VerificationError("action leaves the spanned subspace")
-        rows.append(span.express(v))
+        rows.append(coords)
     return rows

@@ -1,10 +1,11 @@
 """Exact row reduction, kernels and linear solving.
 
-Two engines share one canonical output convention:
-
-* dense lists of scalars, for matrices over CycloScalar or raw rationals;
-* sparse dict-of-column rows over raw rationals, for the wide, mostly
-  empty constraint systems that turn up when cutting out harmonic spaces.
+Matrices are dense lists of rows over CycloScalar or raw rationals.  `rref`
+is the one Gauss-Jordan elimination: kernels, span membership, coordinates
+and inverses are all read off its output, on the rows themselves or on the
+rows augmented by an identity block.  `det` keeps its own forward
+elimination because it needs the product of the pivots, not an echelon
+form.
 
 Reduced row echelon form is unique for a given row space, so every routine
 returns the same matrix no matter how the input rows were ordered.  Kernel
@@ -23,10 +24,6 @@ def _inv(x):
     if isinstance(x, CycloScalar):
         return x.inv()
     return 1 / x
-
-
-# ---------------------------------------------------------------------------
-# dense engine
 
 
 def rref(rows):
@@ -68,41 +65,17 @@ def rref(rows):
 
 
 def rref_with_transform(rows):
-    """Like rref, but also returns T with T @ rows = echelon (kept rows only)."""
+    """Like rref, but also returns T with T @ rows = echelon (kept rows only).
+
+    Runs rref on [rows | I] and splits at the width of rows; the rows whose
+    pivot falls in the identity block span the dependencies and are dropped.
+    """
     m = len(rows)
     n = len(rows[0]) if m else 0
-    mat = [list(r) for r in rows]
-    tr = [[QQ_ONE if i == j else QQ_ZERO for j in range(m)] for i in range(m)]
-    pivots = []
-    r = 0
-    for c in range(n):
-        k = None
-        for i in range(r, m):
-            if mat[i][c]:
-                k = i
-                break
-        if k is None:
-            continue
-        mat[r], mat[k] = mat[k], mat[r]
-        tr[r], tr[k] = tr[k], tr[r]
-        piv = mat[r][c]
-        if piv != 1:
-            inv = _inv(piv)
-            mat[r] = [a * inv for a in mat[r]]
-            tr[r] = [a * inv for a in tr[r]]
-        row_r, tr_r = mat[r], tr[r]
-        for i in range(m):
-            if i == r:
-                continue
-            f = mat[i][c]
-            if f:
-                mat[i] = [a - f * b if b else a for a, b in zip(mat[i], row_r)]
-                tr[i] = [a - f * b if b else a for a, b in zip(tr[i], tr_r)]
-        pivots.append(c)
-        r += 1
-        if r == m:
-            break
-    return mat[:r], pivots, tr[:r]
+    aug = [list(r) + ident for r, ident in zip(rows, identity_matrix(m))]
+    ech, pivots = rref(aug)
+    r = sum(1 for c in pivots if c < n)
+    return [row[:n] for row in ech[:r]], pivots[:r], [row[n:] for row in ech[:r]]
 
 
 def rank(rows) -> int:
@@ -287,103 +260,3 @@ def det(a):
     if sign < 0:
         result = -result
     return result
-
-
-# ---------------------------------------------------------------------------
-# sparse engine over raw rationals
-
-# Rows are dicts {column: rational}; zero entries are absent.  Used for the
-# wide annihilator systems in the harmonics layer, where each constraint row
-# touches only a handful of monomials.  Pivot rows are chosen shortest-first
-# to limit fill-in; the final full reduction makes the result canonical.
-
-
-def sparse_rref(rows, ncols):
-    """Canonical reduced echelon form of sparse rational rows.
-
-    Returns (echelon_rows, pivots) where echelon_rows are dicts and
-    echelon_rows[i] has a 1 at pivots[i].
-    """
-    # shortest rows first keeps fill-in down; ties by lead column
-    work = sorted((dict(r) for r in rows if r),
-                  key=lambda r: (len(r), min(r)), reverse=True)
-    ech = []        # echelon rows, admission order; support ⊆ [pivot, ncols)
-    ech_piv = []
-    piv_of_col = {}
-    while work:
-        row = _sparse_reduce(work.pop(), ech, piv_of_col)
-        if not row:
-            continue
-        lead = min(row)
-        if row[lead] != 1:
-            inv = 1 / row[lead]
-            row = {c: v * inv for c, v in row.items()}
-        piv_of_col[lead] = len(ech)
-        ech.append(row)
-        ech_piv.append(lead)
-    # backward pass in descending pivot order: rows reduced so far contribute
-    # only non-pivot columns, so one sweep over the recorded hits suffices
-    order = sorted(range(len(ech)), key=lambda i: ech_piv[i])
-    for idx in range(len(order) - 1, -1, -1):
-        i = order[idx]
-        hits = sorted(c for c in ech[i] if c != ech_piv[i] and c in piv_of_col)
-        if not hits:
-            continue
-        acc = dict(ech[i])
-        for c in hits:
-            f = acc.get(c)
-            if f:
-                _sparse_axpy(acc, -f, ech[piv_of_col[c]])
-        ech[i] = acc
-    ech_sorted = [ech[i] for i in order]
-    piv_sorted = [ech_piv[i] for i in order]
-    return ech_sorted, piv_sorted
-
-
-def _sparse_reduce(row, ech, piv_of_col):
-    """Eliminate the row's lead against admitted pivots until it stops being
-    a pivot column; entries at later pivot columns may remain (the backward
-    pass clears those)."""
-    row = dict(row)
-    while row:
-        lead = min(row)
-        j = piv_of_col.get(lead)
-        if j is None:
-            return row
-        _sparse_axpy(row, -row[lead], ech[j])
-    return row
-
-
-def _sparse_axpy(row, f, other):
-    for c, v in other.items():
-        cur = row.get(c)
-        if cur is None:
-            nv = f * v
-            if nv:
-                row[c] = nv
-        else:
-            nv = cur + f * v
-            if nv:
-                row[c] = nv
-            else:
-                del row[c]
-
-
-def sparse_kernel(ech, pivots, ncols):
-    """Right-kernel basis (dense rational vectors) from a sparse echelon form."""
-    pivset = set(pivots)
-    col_entries = {}
-    for i, row in enumerate(ech):
-        for c, v in row.items():
-            if c not in pivset:
-                col_entries.setdefault(c, []).append((i, v))
-    basis = []
-    for j in range(ncols):
-        if j in pivset:
-            continue
-        v = [QQ_ZERO] * ncols
-        v[j] = QQ_ONE
-        for i, val in col_entries.get(j, ()):
-            v[pivots[i]] = -val
-        basis.append(v)
-    return basis

@@ -412,36 +412,10 @@ def _embed_table(m: int, n: int) -> tuple[tuple[QQ, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _subfield_solver(m: int, n: int):
-    """Row-reduced system for rewriting a Q(zeta_n) vector in the embedded
-    Q(zeta_m) basis; returns (pivot columns, solved rows) or None when the
-    embedding matrix is degenerate (never happens for m | n)."""
-    basis = _embed_table(m, n)
-    phi_m, phi_n = len(basis), euler_phi(n)
-    # columns: coordinates in Q(zeta_n); solve x * basis = target
-    rows = [list(b) for b in basis]
-    pivots = []
-    transform = [[QQ_ONE if i == j else QQ_ZERO for j in range(phi_m)]
-                 for i in range(phi_m)]
-    r = 0
-    for c in range(phi_n):
-        k = next((i for i in range(r, phi_m) if rows[i][c]), None)
-        if k is None:
-            continue
-        rows[r], rows[k] = rows[k], rows[r]
-        transform[r], transform[k] = transform[k], transform[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [v * inv for v in rows[r]]
-        transform[r] = [v * inv for v in transform[r]]
-        for i in range(phi_m):
-            if i != r and rows[i][c]:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-                transform[i] = [a - f * b for a, b in zip(transform[i], transform[r])]
-        pivots.append(c)
-        r += 1
-        if r == phi_m:
-            break
-    return pivots, rows, transform
+    """Span solver for rewriting a Q(zeta_n) vector in the embedded
+    Q(zeta_m) basis."""
+    from .linalg import SpanSolver  # linalg imports this module at load time
+    return SpanSolver(_embed_table(m, n))
 
 
 class CycloScalar:
@@ -507,28 +481,10 @@ class CycloScalar:
         return CycloScalar(n, out)
 
     def _try_descend(self, m: int):
-        pivots, rows, transform = _subfield_solver(m, self.order)
-        vec = self.coeffs
-        coords = [QQ_ZERO] * len(pivots)
-        residual = list(vec)
-        for r, c in enumerate(pivots):
-            f = residual[c]
-            if f:
-                coords[r] = f
-                for j in range(len(vec)):
-                    if rows[r][j]:
-                        residual[j] -= f * rows[r][j]
-        if any(residual):
+        coords = _subfield_solver(m, self.order).express(self.coeffs)
+        if coords is None:
             return None
-        basis = _embed_table(m, self.order)
-        phi_m = len(basis)
-        out = [QQ_ZERO] * phi_m
-        for r in range(len(pivots)):
-            if coords[r]:
-                for j in range(phi_m):
-                    if transform[r][j]:
-                        out[j] += coords[r] * transform[r][j]
-        return CycloScalar(m, out)
+        return CycloScalar(m, coords)
 
     def reduce(self) -> "CycloScalar":
         """Canonical form with minimal conductor (never 2 mod 4)."""

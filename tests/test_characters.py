@@ -1,8 +1,12 @@
 """Conjugacy classes, character tables, fake degrees, inductions."""
 
+import random
+
 import pytest
 
 from reflharm.characters import (
+    _coordinates_mod,
+    _kernel_mod,
     character_table,
     conjugacy_classes,
     fake_degrees,
@@ -10,7 +14,7 @@ from reflharm.characters import (
     induced_trivial_multiplicities,
     verify_fake_degree_formula,
 )
-from reflharm.errors import CapError, UsageError
+from reflharm.errors import CapError, DomainError, UsageError
 from reflharm.groups import catalog, weyl_group
 from reflharm.harmonics import harmonic_basis
 from reflharm.scalars import CycloScalar, RatPoly
@@ -221,3 +225,57 @@ def test_verify_formula_more_pairs(gname, sub_gens):
     group = catalog(gname)
     sub = group.subgroup_from_matrices(sub_gens)
     assert verify_fake_degree_formula(group, sub)["agree"] is True
+
+
+# F_p helpers behind the character-table eigenvector split
+
+P = 13
+
+
+def _rank_mod(mat, p):
+    rows = [[v % p for v in row] for row in mat]
+    rank = 0
+    for col in range(len(rows[0])):
+        sel = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if sel is None:
+            continue
+        rows[rank], rows[sel] = rows[sel], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            f = rows[r][col] * pow(rows[rank][col], p - 2, p)
+            rows[r] = [(a - f * b) % p for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+def test_kernel_mod_vectors_vanish():
+    rng = random.Random(5)
+    for _ in range(30):
+        m = rng.randint(1, 5)
+        mat = [[rng.choice([0, 0, rng.randint(-20, 20)]) for _ in range(m)]
+               for _ in range(m)]
+        ker = _kernel_mod(mat, P)
+        assert len(ker) == m - _rank_mod(mat, P)
+        for v in ker:
+            assert all(sum(a * b for a, b in zip(row, v)) % P == 0
+                       for row in mat)
+
+
+def test_coordinates_mod_recovers_coefficients():
+    rng = random.Random(8)
+    for _ in range(30):
+        k = rng.randint(1, 5)
+        m = rng.randint(1, k)
+        basis = [[rng.randint(0, P - 1) for _ in range(k)] for _ in range(m)]
+        if _rank_mod(basis, P) < m:
+            continue
+        coeffs = [[rng.randint(0, P - 1) for _ in range(m)] for _ in range(3)]
+        targets = [[sum(c * b[r] for c, b in zip(cs, basis)) for r in range(k)]
+                   for cs in coeffs]
+        got = _coordinates_mod(basis, targets, P)
+        assert got == [[cs[i] for cs in coeffs] for i in range(m)]
+
+
+def test_coordinates_mod_rejects_vector_outside_span():
+    basis = [[1, 0, 0], [0, 1, 0]]
+    with pytest.raises(DomainError):
+        _coordinates_mod(basis, [[0, 0, 1]], P)

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflharm.errors import DomainError
 from reflharm.linalg import (
@@ -14,8 +16,6 @@ from reflharm.linalg import (
     mat_vec,
     rank,
     rref,
-    sparse_kernel,
-    sparse_rref,
 )
 from reflharm.scalars import QQ, CycloScalar
 
@@ -130,25 +130,58 @@ def test_det_and_rref_over_cyclotomics():
     assert mat_eq(mat_mul(diag, inv), identity_matrix(2, one))
 
 
-def test_sparse_matches_dense_rref():
-    rng = random.Random(41)
-    for _ in range(20):
-        m, n = rng.randint(1, 8), rng.randint(1, 10)
-        mat = rand_matrix(rng, m, n, density=0.35)
-        ech_d, piv_d = rref(mat)
-        rows_s = [{j: v for j, v in enumerate(row) if v} for row in mat]
-        ech_s, piv_s = sparse_rref(rows_s, n)
-        assert piv_s == piv_d
-        dense_back = [[row.get(j, QQ(0)) for j in range(n)] for row in ech_s]
-        assert dense_back == ech_d
-        ker_d = kernel_basis(mat, n)
-        ker_s = sparse_kernel(ech_s, piv_s, n)
-        assert ker_s == ker_d
+# Property tests: small rational matrices, few examples, so they stay fast.
+
+_entries = st.integers(-4, 4).map(QQ)
 
 
-def test_sparse_rref_empty_and_zero_rows():
-    ech, piv = sparse_rref([{}, {}], 4)
-    assert ech == [] and piv == []
-    ech, piv = sparse_rref([{2: QQ(5)}], 4)
-    assert piv == [2]
-    assert ech == [{2: QQ(1)}]
+def _vectors(n):
+    return st.lists(_entries, min_size=n, max_size=n)
+
+
+def _matrices(m, n):
+    return st.lists(_vectors(n), min_size=m, max_size=m)
+
+
+def _combine(coeffs, rows):
+    return [sum((c * row[j] for c, row in zip(coeffs, rows)), QQ(0))
+            for j in range(len(rows[0]))]
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_rref_invariant_under_row_operations(data):
+    m, n = data.draw(st.integers(1, 5)), data.draw(st.integers(1, 5))
+    mat = data.draw(_matrices(m, n))
+    want = rref(mat)
+    assert rref(data.draw(st.permutations(mat))) == want
+    if m >= 2:
+        i, j = data.draw(st.permutations(range(m)))[:2]
+        f = data.draw(_entries)
+        mixed = mat[:]
+        mixed[i] = [a + f * b for a, b in zip(mat[i], mat[j])]
+        assert rref(mixed) == want
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_span_solver_roundtrip_on_dependent_rows(data):
+    n = data.draw(st.integers(1, 4))
+    m = data.draw(st.integers(n + 1, n + 3))
+    mat = data.draw(_matrices(m, n))
+    target = _combine(data.draw(_vectors(m)), mat)
+    got = SpanSolver(mat).express(target)
+    assert got is not None and len(got) == m
+    assert _combine(got, mat) == target
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_span_solver_none_outside_span(data):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    mat = data.draw(_matrices(m, n))
+    vec = data.draw(_vectors(n))
+    solver = SpanSolver(mat)
+    inside = rank(mat + [vec]) == rank(mat)
+    assert (solver.express(vec) is None) == (not inside)
+    assert solver.contains(vec) == inside
