@@ -5,9 +5,10 @@ Subpackages build on each other roughly bottom-up:
     scalars        cyclotomic field arithmetic, polynomials, series
     linalg         exact row reduction, kernels, solving
     mpoly          sparse multivariate polynomials and group actions
-    rootdata       crystallographic root systems for the counting layer
-    groups         matrix groups, reflections, hyperplanes, catalog
+    groups         matrix groups, reflections, hyperplanes, conjugacy
+                   classes, normaliser test, catalog
     harmonics      invariants, Molien series, harmonic spaces
+    rootdata       crystallographic root systems for the counting layer
     factorisation  tensor factorisation of harmonics along a subgroup
     characters     exact character tables and graded characters
     weyl           rational point counts for twisted flag quotients

@@ -22,10 +22,10 @@ from __future__ import annotations
 import weakref
 
 from .errors import CapError, DomainError, UsageError, VerificationError
-from .groups import ReflectionGroup
+from .groups import ReflectionGroup, conjugacy_classes
 from .harmonics import (
     GradedBasis,
-    action_matrix,
+    action_trace,
     fixed_point_basis,
     harmonic_basis,
     invariant_degrees,
@@ -44,56 +44,6 @@ def _ctx(group):
         ctx = {}
         _CACHE[group] = ctx
     return ctx
-
-
-class ClassData:
-    """Conjugacy classes: (representative matrix, size) pairs and an
-    element-index to class-index map.  The representative is the class
-    member that appears first in the group's storage order."""
-
-    def __init__(self, classes, class_of, rep_indices):
-        self.classes = tuple(classes)
-        self.class_of = tuple(class_of)
-        self.rep_indices = tuple(rep_indices)
-
-    def __len__(self):
-        return len(self.classes)
-
-    @property
-    def sizes(self):
-        return tuple(size for _, size in self.classes)
-
-
-def conjugacy_classes(group: ReflectionGroup) -> ClassData:
-    """Orbit partition of the group under conjugation."""
-    ctx = _ctx(group)
-    if "classes" in ctx:
-        return ctx["classes"]
-    gen_idx = [group.index_of(g) for g in group.generators]
-    gen_inv = [group.inverse_index(i) for i in gen_idx]
-    class_of = [None] * group.order
-    classes = []
-    reps = []
-    for start in range(group.order):
-        if class_of[start] is not None:
-            continue
-        orbit = {start}
-        stack = [start]
-        while stack:
-            x = stack.pop()
-            for gi, gii in zip(gen_idx, gen_inv):
-                y = group.mul_index(group.mul_index(gi, x), gii)
-                if y not in orbit:
-                    orbit.add(y)
-                    stack.append(y)
-        tag = len(classes)
-        for x in orbit:
-            class_of[x] = tag
-        classes.append((group.element(start), len(orbit)))
-        reps.append(start)
-    data = ClassData(classes, class_of, reps)
-    ctx["classes"] = data
-    return data
 
 
 def _choose_prime(order: int, exponent: int) -> int:
@@ -383,14 +333,7 @@ def graded_character(group: ReflectionGroup, space: GradedBasis, d: int):
     basis = space.basis(d)
     if not basis:
         return tuple(CycloScalar.rational(0) for _ in range(len(classes)))
-    out = []
-    for rep, _ in classes.classes:
-        rows = action_matrix(basis, rep)
-        trace = CycloScalar.rational(0)
-        for i in range(len(rows)):
-            trace = trace + CycloScalar.coerce(rows[i][i])
-        out.append(trace)
-    return tuple(out)
+    return tuple(action_trace(basis, rep) for rep, _ in classes.classes)
 
 
 def _integer_inner(values, sizes, row, order):

@@ -27,7 +27,7 @@ from .characters import character_table, fake_degrees
 from .errors import CapError, DomainError, UsageError, VerificationError
 from .factorisation import verify_factorisation
 from .groups import ReflectionGroup, catalog
-from .harmonics import harmonic_basis, invariant_degrees
+from .harmonics import harmonic_basis, harmonic_poincare, invariant_degrees
 from .rootdata import subsystem_preset
 from .scalars import CycloScalar, RatPoly
 from .weyl import TwistData, split_report, twisted_report
@@ -143,9 +143,7 @@ def _poly_text(poly: RatPoly, var: str) -> str:
 def _cmd_group(args):
     group = _resolve_group(args)
     degrees = invariant_degrees(group)
-    poincare = RatPoly([1])
-    for d in degrees:
-        poincare = poincare * RatPoly([1] * d)
+    poincare = harmonic_poincare(group)
     planes = group.hyperplanes()
     skew = group.skew_contravariant()
     data = {

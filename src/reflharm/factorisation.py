@@ -26,10 +26,11 @@ from .harmonics import (
     GradedBasis,
     fixed_point_basis,
     harmonic_basis,
+    harmonic_poincare,
     invariant_degrees,
     project_to_H,
 )
-from .linalg import SpanSolver, mat_inv, mat_mul, rref
+from .linalg import SpanSolver, mat_inv, rref
 from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -38,7 +39,7 @@ from .mpoly import (
     diff_apply,
     monomials_of_degree,
 )
-from .scalars import CycloScalar, RatPoly
+from .scalars import CycloScalar
 
 _PAIR_CACHE = weakref.WeakKeyDictionary()
 
@@ -177,14 +178,9 @@ def _group_label(group: ReflectionGroup) -> str:
 def poincare_factorisation(group, subgroup):
     """(Poin of H(G), Poin of H(G') times Poin of the fixed space)."""
     ctx = _pair_ctx(group, subgroup)
-    lhs = RatPoly([1])
-    for d in invariant_degrees(group):
-        lhs = lhs * RatPoly([1] * d)
-    rhs = RatPoly([1])
-    for d in invariant_degrees(subgroup):
-        rhs = rhs * RatPoly([1] * d)
-    rhs = rhs * _fixed_harmonics(ctx, group, subgroup,
-                                 CONTRAVARIANT).poincare()
+    lhs = harmonic_poincare(group)
+    rhs = harmonic_poincare(subgroup) * _fixed_harmonics(
+        ctx, group, subgroup, CONTRAVARIANT).poincare()
     return lhs, rhs
 
 
@@ -194,12 +190,8 @@ def degree_divisibility(group, subgroup) -> dict:
     _pair_ctx(group, subgroup)
     degs = invariant_degrees(group)
     sub_degs = invariant_degrees(subgroup)
-    poin = RatPoly([1])
-    for d in degs:
-        poin = poin * RatPoly([1] * d)
-    sub_poin = RatPoly([1])
-    for d in sub_degs:
-        sub_poin = sub_poin * RatPoly([1] * d)
+    poin = harmonic_poincare(group)
+    sub_poin = harmonic_poincare(subgroup)
     divides = sub_poin.divides(poin)
     quotient = poin.exact_div(sub_poin) if divides else None
     counts = []
@@ -263,13 +255,6 @@ def xi_dual_compare(group, subgroup, h: MPoly, a: MPoly):
     return lhs, rhs, _collinear_scalar(lhs, rhs)
 
 
-def _normalizes(group: ReflectionGroup, mat, mat_inverse) -> bool:
-    for g in group.elements:
-        if not group.contains_matrix(mat_mul(mat_mul(mat, g), mat_inverse)):
-            return False
-    return True
-
-
 def equivariance_check(group, subgroup, n_mat) -> bool:
     """Whether the factorisation map commutes with a joint normalizer of
     the pair, tested on every basis tensor."""
@@ -278,7 +263,8 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
     if len(mat) != group.dim or any(len(r) != group.dim for r in mat):
         raise UsageError("normalizer matrix has the wrong size")
     inv = mat_inv(mat)
-    if not (_normalizes(group, mat, inv) and _normalizes(subgroup, mat, inv)):
+    if not (group.is_normalized_by(mat, inv)
+            and subgroup.is_normalized_by(mat, inv)):
         raise UsageError("matrix does not normalize both groups")
     subH = _sub_harmonics(ctx, subgroup, CONTRAVARIANT)
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
@@ -309,8 +295,8 @@ def _builtin_normalizers(group, subgroup, cap=6):
             mat = [[one if perm[i] == j else zero for j in range(nv)]
                    for i in range(nv)]
             inv = mat_inv(mat)
-            if _normalizes(group, mat, inv) and \
-                    _normalizes(subgroup, mat, inv):
+            if group.is_normalized_by(mat, inv) and \
+                    subgroup.is_normalized_by(mat, inv):
                 found.append(("perm%s" % (perm,), mat))
             if len(found) >= cap:
                 break

@@ -15,6 +15,11 @@ products are
     skew_contravariant = prod_H L_H^(e_H - 1)   (transforms by det)
     skew_covariant     = prod_H a_H^(e_H - 1)   (same on the dual side)
 
+The group-level queries that other layers share live here, once each:
+conjugacy classes (conjugacy_classes, cached on the group), the
+normaliser test (is_normalized_by, on generators) and subgroup closure
+checked against the ambient group (subgroup_from_matrices).
+
 The catalog covers cyclic groups, the imprimitive family G(m,p,n) and the
 crystallographic Weyl types.  Documented models: cyclic(e) is [[zeta_e]];
 G(m,p,n) consists of monomial matrices with m-th root of unity entries
@@ -111,8 +116,10 @@ class ReflectionGroup:
         self._dets = None
         self._reflections = None
         self._hyperplanes = None
+        self._plane_index = None
         self._skew = {}
         self._orders = None
+        self._classes = None
 
     # -- basic queries
 
@@ -174,6 +181,13 @@ class ReflectionGroup:
             return False
         return all(other.contains_matrix(g) for g in self.elements)
 
+    def is_normalized_by(self, mat, mat_inverse) -> bool:
+        """Whether mat G mat^-1 = G.  Checking the generators suffices:
+        conjugation is a homomorphism, and a finite group mapped into
+        itself injectively is mapped onto itself."""
+        return all(self.contains_matrix(mat_mul(mat_mul(mat, g), mat_inverse))
+                   for g in self.generators)
+
     # -- reflections and hyperplanes
 
     def reflections(self):
@@ -181,12 +195,7 @@ class ReflectionGroup:
         if self._reflections is None:
             refl = []
             for i, g in enumerate(self.elements):
-                if i == 0:
-                    continue
-                moved = [[v - CYC_ONE if r == c else v
-                          for c, v in enumerate(row)]
-                         for r, row in enumerate(g)]
-                if rank(moved) == 1:
+                if i and rank(_minus_identity(g)) == 1:
                     refl.append(i)
             self._reflections = refl
         return self._reflections
@@ -208,10 +217,7 @@ class ReflectionGroup:
             return self._hyperplanes
         buckets = {}
         for i in self.reflections():
-            g = self.elements[i]
-            moved = [[v - CYC_ONE if r == c else v
-                      for c, v in enumerate(row)]
-                     for r, row in enumerate(g)]
+            moved = _minus_identity(self.elements[i])
             row = next(r for r in moved if any(r))
             row = _normalise_form(row)
             col_idx = next(j for j in range(self.dim)
@@ -221,17 +227,11 @@ class ReflectionGroup:
             if key in buckets:
                 buckets[key][2].append(i)
             else:
-                buckets[key] = (row, col, [i])
-        fixed_bases = {}
-        for key, (row, col, idxs) in buckets.items():
-            moved = [[v - CYC_ONE if r == c else v
-                      for c, v in enumerate(row2)]
-                     for r, row2 in enumerate(self.elements[idxs[0]])]
-            fixed_bases[key] = kernel_basis(moved, self.dim, one=CYC_ONE)
+                buckets[key] = (row, col, [i], moved)
         planes = []
         for key in sorted(buckets):
-            row, col, idxs = buckets[key]
-            basis = fixed_bases[key]
+            row, col, idxs, moved = buckets[key]
+            basis = kernel_basis(moved, self.dim, one=CYC_ONE)
             e = 0
             for g in self.elements:
                 if all(mat_vec(g, v) == v for v in basis):
@@ -243,6 +243,7 @@ class ReflectionGroup:
                         {tuple(1 if k == j else 0 for k in range(self.dim)): c
                          for j, c in enumerate(col) if c})
             planes.append(Hyperplane(form, cov, e, tuple(idxs)))
+        self._plane_index = {key: k for k, key in enumerate(sorted(buckets))}
         self._hyperplanes = planes
         return planes
 
@@ -275,10 +276,6 @@ class ReflectionGroup:
         g = self.elements[i]
         gi = self.inverses[i]
         planes = self.hyperplanes()
-        key_of = {}
-        for k, pl in enumerate(planes):
-            vec = tuple(s.sort_key() for s in _form_coeffs(pl.form, self.dim))
-            key_of[vec] = k
         scalar = CYC_ONE
         seen = set()
         for pl in planes:
@@ -286,7 +283,7 @@ class ReflectionGroup:
             coeffs = _form_coeffs(image, self.dim)
             norm = _normalise_form(coeffs)
             lead = next(c for c in coeffs if c)
-            k = key_of.get(tuple(s.sort_key() for s in norm))
+            k = self._plane_index.get(tuple(s.sort_key() for s in norm))
             if k is None:
                 return False
             target = planes[k]
@@ -311,11 +308,8 @@ class ReflectionGroup:
             gens.append(self.elements[refl[p]])
         if not gens:
             gens = [identity_matrix(self.dim, CYC_ONE)]
-        sub = ReflectionGroup(gens, cap=cap, name=name or (self.name + ":sub"))
-        for g in sub.elements:
-            if not self.contains_matrix(g):
-                raise DomainError("subgroup closure escaped the ambient group")
-        return sub
+        return self.subgroup_from_matrices(gens, cap=cap,
+                                           name=name or (self.name + ":sub"))
 
     def subgroup_from_matrices(self, mats, cap: int = DEFAULT_CLOSURE_CAP,
                                name: str = "") -> "ReflectionGroup":
@@ -328,6 +322,60 @@ class ReflectionGroup:
     def __repr__(self):
         return "ReflectionGroup(%s, order=%d, dim=%d)" % (
             self.name or "custom", self.order, self.dim)
+
+
+class ClassData:
+    """Conjugacy classes: (representative matrix, size) pairs and an
+    element-index to class-index map.  The representative is the class
+    member that appears first in the group's storage order."""
+
+    def __init__(self, classes, class_of, rep_indices):
+        self.classes = tuple(classes)
+        self.class_of = tuple(class_of)
+        self.rep_indices = tuple(rep_indices)
+
+    def __len__(self):
+        return len(self.classes)
+
+    @property
+    def sizes(self):
+        return tuple(size for _, size in self.classes)
+
+
+def conjugacy_classes(group: ReflectionGroup) -> ClassData:
+    """Orbit partition of the group under conjugation."""
+    if group._classes is not None:
+        return group._classes
+    gen_idx = [group.index_of(g) for g in group.generators]
+    gen_inv = [group.inverse_index(i) for i in gen_idx]
+    class_of = [None] * group.order
+    classes = []
+    reps = []
+    for start in range(group.order):
+        if class_of[start] is not None:
+            continue
+        orbit = {start}
+        stack = [start]
+        while stack:
+            x = stack.pop()
+            for gi, gii in zip(gen_idx, gen_inv):
+                y = group.mul_index(group.mul_index(gi, x), gii)
+                if y not in orbit:
+                    orbit.add(y)
+                    stack.append(y)
+        tag = len(classes)
+        for x in orbit:
+            class_of[x] = tag
+        classes.append((group.element(start), len(orbit)))
+        reps.append(start)
+    group._classes = ClassData(classes, class_of, reps)
+    return group._classes
+
+
+def _minus_identity(g):
+    """g - Id, whose rank is 1 exactly on reflections."""
+    return [[v - CYC_ONE if r == c else v for c, v in enumerate(row)]
+            for r, row in enumerate(g)]
 
 
 def _form_coeffs(form: MPoly, dim: int):

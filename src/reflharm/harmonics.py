@@ -281,6 +281,15 @@ def invariant_degrees(group: ReflectionGroup):
         trunc *= 2
 
 
+def harmonic_poincare(group: ReflectionGroup) -> RatPoly:
+    """Poincare polynomial of the harmonics, prod_i (1 + t + ... + t^(d_i - 1))
+    over the invariant degrees."""
+    poin = RatPoly([1])
+    for d in invariant_degrees(group):
+        poin = poin * RatPoly([1] * d)
+    return poin
+
+
 def _peel_degrees(series: RatSeries, ell: int, trunc: int):
     coeffs = list(series.coeffs)
     found = []
@@ -789,7 +798,6 @@ def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedB
     """
     if subgroup.dim != graded.nvars:
         raise UsageError("subgroup dimension does not match the basis")
-    unit = CycloScalar.rational(QQ(1, subgroup.order))
     out = {}
     for d in sorted(graded.degrees):
         basis = graded.degrees[d]
@@ -797,10 +805,7 @@ def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedB
         span = SpanSolver([_vec(p, monos) for p in basis])
         rows = []
         for p in basis:
-            total = MPoly.zero(graded.space, graded.nvars)
-            for g, gi in zip(subgroup.elements, subgroup.inverses):
-                total = total + p.act(g, gi)
-            avg = total.scale(unit)
+            avg = reynolds(subgroup, p)
             v = _vec(avg, monos)
             if not span.contains(v):
                 raise VerificationError(
@@ -833,3 +838,12 @@ def action_matrix(basis, mat, mat_inverse=None):
             raise VerificationError("action leaves the spanned subspace")
         rows.append(coords)
     return rows
+
+
+def action_trace(basis, mat) -> CycloScalar:
+    """Trace of the linear map of action_matrix."""
+    rows = action_matrix(basis, mat)
+    trace = CycloScalar.rational(0)
+    for i in range(len(rows)):
+        trace = trace + CycloScalar.coerce(rows[i][i])
+    return trace

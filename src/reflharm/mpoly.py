@@ -133,11 +133,6 @@ class MPoly:
         return sorted(self.terms.items(), key=lambda kv: monomial_key(kv[0]),
                       reverse=True)
 
-    def leading_monomial(self):
-        if not self.terms:
-            return None
-        return max(self.terms, key=monomial_key)
-
     # -- arithmetic
 
     def _check_compatible(self, other: "MPoly"):

@@ -180,6 +180,7 @@ class SubsystemData:
         self.positives = tuple(positives)
         self.simples = tuple(simples)
         self.group = group
+        self._complement = None
 
     @property
     def nprime(self) -> int:
@@ -280,10 +281,12 @@ def complement_group(datum: RootDatum,
     Verifies N_W(W') = C x| W' before returning: the stabilizer meets W'
     trivially and the product fills the normalizer.  A failure here points
     at a defective simple-system extraction, so it raises rather than
-    returning a wrong group.
+    returning a wrong group.  The result is cached on the subsystem.
     """
     if sub.datum is not datum:
         raise UsageError("subsystem belongs to a different root datum")
+    if sub._complement is not None:
+        return sub._complement
     simple_set = set(sub.simples)
     group = datum.group
     c_mats = []
@@ -291,12 +294,8 @@ def complement_group(datum: RootDatum,
         if {_apply(w, s) for s in simple_set} == simple_set:
             c_mats.append(w)
     wprime = sub.group
-    normalizer = 0
-    for w in group.elements:
-        wi = mat_inv(w)
-        if all(wprime.contains_matrix(mat_mul(mat_mul(w, g), wi))
-               for g in wprime.generators):
-            normalizer += 1
+    normalizer = sum(1 for w, wi in zip(group.elements, group.inverses)
+                     if wprime.is_normalized_by(w, wi))
     in_both = sum(1 for m in c_mats if wprime.contains_matrix(m))
     if in_both != 1:
         raise VerificationError(
@@ -306,5 +305,6 @@ def complement_group(datum: RootDatum,
         raise VerificationError(
             "normalizer order %d is not |C|*|W'| = %d*%d"
             % (normalizer, len(c_mats), wprime.order))
-    return group.subgroup_from_matrices(c_mats,
-                                        name="%s-complement" % datum.label)
+    sub._complement = group.subgroup_from_matrices(
+        c_mats, name="%s-complement" % datum.label)
+    return sub._complement

@@ -216,9 +216,6 @@ class RatPoly:
             acc = acc * x + c
         return acc
 
-    def is_integral(self) -> bool:
-        return all(c.denominator == 1 for c in self.coeffs)
-
     def to_json(self):
         return [int(c.numerator) if c.denominator == 1 else qq_str(c)
                 for c in self.coeffs]
@@ -361,12 +358,6 @@ class RatSeries:
     def divide(self, other: "RatSeries") -> "RatSeries":
         other, _ = self._common(other)
         return self * other.invert()
-
-    def is_polynomial(self) -> bool:
-        return True
-
-    def as_poly(self) -> RatPoly:
-        return RatPoly(self.coeffs)
 
     def __str__(self):
         return "%s + O(t^%d)" % (RatPoly(self.coeffs), self.trunc + 1)

@@ -36,7 +36,7 @@ from __future__ import annotations
 
 from .errors import CapError, DomainError, UsageError
 from .groups import ReflectionGroup, matrix_key
-from .harmonics import action_matrix, fixed_point_basis, harmonic_basis
+from .harmonics import action_trace, fixed_point_basis, harmonic_basis
 from .linalg import identity_matrix, mat_inv, mat_mul
 from .mpoly import coerce_matrix
 from .rootdata import RootDatum, SubsystemData, complement_group, _apply
@@ -54,11 +54,6 @@ def _matrix_order(mat, cap=_ORDER_CAP) -> int:
             return k
         acc = mat_mul(acc, mat)
     raise CapError("matrix order exceeds %d" % cap)
-
-
-def _normalizes_group(group: ReflectionGroup, mat, mat_inverse) -> bool:
-    return all(group.contains_matrix(mat_mul(mat_mul(mat, g), mat_inverse))
-               for g in group.generators)
 
 
 class TwistData:
@@ -174,20 +169,14 @@ def f_classes(cgroup: ReflectionGroup, f0):
     return classes
 
 
-def _counting_context(datum: RootDatum, sub: SubsystemData):
-    w = datum.group
-    n, nprime = datum.npositive, sub.nprime
-    cgroup = complement_group(datum, sub)
-    return w, n, nprime, cgroup
-
-
 def count_split(datum: RootDatum, sub: SubsystemData) -> RatPoly:
     """Polynomial in q counting the split-case stable conjugates."""
-    w, n, nprime, cgroup = _counting_context(datum, sub)
+    w = datum.group
+    cgroup = complement_group(datum, sub)
     mats = list(sub.group.generators) + list(cgroup.elements)
     wc = w.subgroup_from_matrices(mats, name="%s-normalizer" % datum.label)
     fixed = fixed_point_basis(harmonic_basis(w), wc)
-    span = n - nprime
+    span = datum.npositive - sub.nprime
     coeffs = [QQ(0)] * (2 * span + 1)
     for d in sorted(fixed.degrees):
         if d > span:
@@ -201,15 +190,16 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
                   twist: TwistData) -> RatPoly:
     """Polynomial in q for the twisted count; the weight lives on the
     coset C*F0^{-1} inside the group generated by C and F0."""
-    w, n, nprime, cgroup = _counting_context(datum, sub)
+    w = datum.group
+    cgroup = complement_group(datum, sub)
     f0 = twist.f0
     if len(f0) != w.dim or any(len(r) != w.dim for r in f0):
         raise UsageError("twisting matrix size does not match the datum")
     _matrix_order(f0)
     f0_inv = mat_inv(f0)
-    if not _normalizes_group(w, f0, f0_inv):
+    if not w.is_normalized_by(f0, f0_inv):
         raise UsageError("twisting matrix does not normalize the Weyl group")
-    if not _normalizes_group(sub.group, f0, f0_inv):
+    if not sub.group.is_normalized_by(f0, f0_inv):
         raise UsageError("twisting matrix does not normalize the subsystem "
                          "group")
     simple_set = set(sub.simples)
@@ -221,7 +211,7 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
                            name="%s-twisted-complement" % datum.label)
     weights = twist.weight_values(cgroup, f0)
     fixed = fixed_point_basis(harmonic_basis(w), sub.group)
-    span = n - nprime
+    span = datum.npositive - sub.nprime
     unit = QQ(1, cbar.order)
     coeffs = [QQ(0)] * (2 * span + 1)
     for d in sorted(fixed.degrees):
@@ -234,10 +224,7 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
             weight = weights[matrix_key(c)]
             if not weight:
                 continue
-            rows = action_matrix(basis, mat_mul(c, f0_inv))
-            trace = CycloScalar.rational(0)
-            for i in range(len(rows)):
-                trace = trace + CycloScalar.coerce(rows[i][i])
+            trace = action_trace(basis, mat_mul(c, f0_inv))
             total = total + trace * weight.conj()
         if not total.is_rational():
             raise DomainError("twisted count coefficient at degree %d is "

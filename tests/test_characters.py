@@ -8,14 +8,13 @@ from reflharm.characters import (
     _coordinates_mod,
     _kernel_mod,
     character_table,
-    conjugacy_classes,
     fake_degrees,
     graded_character,
     induced_trivial_multiplicities,
     verify_fake_degree_formula,
 )
 from reflharm.errors import CapError, DomainError, UsageError
-from reflharm.groups import catalog, weyl_group
+from reflharm.groups import catalog, conjugacy_classes, weyl_group
 from reflharm.harmonics import harmonic_basis
 from reflharm.scalars import CycloScalar, RatPoly
 

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from reflharm.errors import CapError, DomainError, UsageError
@@ -7,8 +9,9 @@ from reflharm.groups import (
     matrix_from_json,
     matrix_to_json,
     registry_names,
+    weyl_group,
 )
-from reflharm.linalg import identity_matrix, mat_mul
+from reflharm.linalg import identity_matrix, mat_inv, mat_mul
 from reflharm.mpoly import MPoly, CONTRAVARIANT
 from reflharm.scalars import CycloScalar
 
@@ -215,3 +218,41 @@ def test_registry_groups_close_to_declared_order():
     for name in registry_names(200):
         g = catalog(name)
         assert g.order == _order_of(name), name
+
+
+def _normaliser_candidates(n):
+    """-Id and every coordinate permutation matrix, identity included."""
+    zero = CycloScalar.rational(0)
+    cands = [[[-ONE if i == j else zero for j in range(n)] for i in range(n)]]
+    for perm in itertools.permutations(range(n)):
+        cands.append([[ONE if perm[i] == j else zero for j in range(n)]
+                      for i in range(n)])
+    return cands
+
+
+def _normaliser_group(name):
+    if name == "sub":
+        # B1 x B1 inside B3: swapping the first two coordinates normalises
+        # it, while swapping the last two fixes the first generator only
+        return weyl_group("B", 3).subgroup_from_matrices(
+            [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]],
+             [[1, 0, 0], [0, -1, 0], [0, 0, 1]]])
+    return catalog(name)
+
+
+@pytest.mark.parametrize("name,normalising", [
+    ("weyl:A:3", 3), ("weyl:B:3", 7), ("weyl:G2:2", 2),
+    ("gmpn:3:1:3", 7), ("gmpn:4:2:3", 7), ("sub", 3)])
+def test_is_normalized_by_matches_elementwise_definition(name, normalising):
+    group = _normaliser_group(name)
+    cands = _normaliser_candidates(group.dim)
+    outcomes = []
+    for mat in cands:
+        inv = mat_inv(mat)
+        want = all(group.contains_matrix(mat_mul(mat_mul(mat, g), inv))
+                   for g in group.elements)
+        assert group.is_normalized_by(mat, inv) == want
+        outcomes.append(want)
+    # -Id is central, so it always normalises; the count pins both outcomes
+    assert outcomes[0]
+    assert sum(outcomes) == normalising <= len(cands)
