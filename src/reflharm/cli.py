@@ -26,10 +26,10 @@ import sys
 from .characters import character_table, fake_degrees
 from .errors import CapError, DomainError, UsageError, VerificationError
 from .factorisation import verify_factorisation
-from .groups import ReflectionGroup, catalog
+from .groups import ReflectionGroup, catalog, matrix_from_json
 from .harmonics import harmonic_basis, harmonic_poincare, invariant_degrees
 from .rootdata import subsystem_preset
-from .scalars import CycloScalar, RatPoly
+from .scalars import RatPoly
 from .weyl import TwistData, split_report, twisted_report
 
 GROUP_CAP = 10000
@@ -97,12 +97,6 @@ def _load_json_file(path: str):
         raise UsageError("malformed JSON in %s: %s" % (path, exc))
 
 
-def _scalar(value) -> CycloScalar:
-    if isinstance(value, dict):
-        return CycloScalar.from_json(value)
-    return CycloScalar.coerce(value)
-
-
 def _resolve_group(args) -> ReflectionGroup:
     by_catalog = getattr(args, "catalog", None)
     by_file = getattr(args, "generators", None)
@@ -111,10 +105,10 @@ def _resolve_group(args) -> ReflectionGroup:
     if by_catalog is not None:
         return catalog(by_catalog, cap=args.group_cap)
     data = _load_json_file(by_file)
-    if not isinstance(data, dict) or "generators" not in data:
+    if not isinstance(data, dict) or \
+            not isinstance(data.get("generators"), list):
         raise UsageError("generator file needs a 'generators' array")
-    mats = [[[_scalar(v) for v in row] for row in mat]
-            for mat in data["generators"]]
+    mats = [matrix_from_json(mat) for mat in data["generators"]]
     return ReflectionGroup(mats, cap=args.group_cap,
                            name=str(data.get("name", "custom")))
 

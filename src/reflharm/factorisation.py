@@ -279,9 +279,9 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
     return True
 
 
-def _builtin_normalizers(group, subgroup, cap=6):
+def _builtin_normalizers(group, subgroup):
     """Coordinate permutations and the central sign that normalize both
-    groups; identity excluded."""
+    groups; identity excluded, at most six in all."""
     one = CycloScalar.rational(1)
     zero = CycloScalar.rational(0)
     nv = group.dim
@@ -298,7 +298,7 @@ def _builtin_normalizers(group, subgroup, cap=6):
             if group.is_normalized_by(mat, inv) and \
                     subgroup.is_normalized_by(mat, inv):
                 found.append(("perm%s" % (perm,), mat))
-            if len(found) >= cap:
+            if len(found) >= 6:
                 break
     return found
 

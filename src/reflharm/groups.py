@@ -58,6 +58,8 @@ def matrix_from_json(data):
         raise UsageError("matrix JSON must be a non-empty array of rows")
     mat = []
     for row in data:
+        if not isinstance(row, list):
+            raise UsageError("matrix JSON rows must be arrays")
         mat.append([CycloScalar.from_json(v) if isinstance(v, dict)
                     else CycloScalar.coerce(v) for v in row])
     n = len(mat)

@@ -2,7 +2,9 @@
 
 The module computes, exactly:
 
-  * the Reynolds (averaging) projection and the Molien series;
+  * the Reynolds (averaging) projection and the Molien series, summed
+    once per conjugacy class: each class's 1/det(Id - t g) comes from the
+    power traces tr(g^k) through Newton's identities;
   * the invariant degrees d_1 <= ... <= d_l, peeled off the Molien series;
   * echelon bases of the invariant spaces S^G_d, a set of free generators,
     and the graded ideal F spanned by positive-degree invariants;
@@ -27,8 +29,8 @@ import math
 import weakref
 
 from .errors import DomainError, UsageError, VerificationError
-from .groups import ReflectionGroup
-from .linalg import SpanSolver, kernel_basis, mat_inv, rref
+from .groups import ReflectionGroup, conjugacy_classes
+from .linalg import SpanSolver, kernel_basis, mat_inv, mat_mul, rref
 from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -131,118 +133,50 @@ def reynolds(group: ReflectionGroup, poly: MPoly) -> MPoly:
     return total.scale(CycloScalar.rational(QQ(1, group.order)))
 
 
-def _poly_mul_trunc(a, b, trunc):
-    out = [_ZERO] * (trunc + 1)
-    for i, ai in enumerate(a):
-        if i > trunc or not ai:
-            continue
-        for j, bj in enumerate(b):
-            if i + j > trunc:
-                break
-            if bj:
-                out[i + j] = out[i + j] + ai * bj
-    return out
+def _class_series(g, trunc):
+    """1/det(Id - t g) truncated, as cyclotomic coefficients.
 
-
-def _geometric(scalar, step, trunc):
-    out = [_ZERO] * (trunc + 1)
-    acc = _ONE
-    k = 0
-    while k <= trunc:
-        out[k] = acc
-        acc = acc * scalar
-        k += step
-    return out
-
-
-def _series_invert(coeffs, trunc):
-    c0 = coeffs[0]
-    if not c0:
-        raise DomainError("series has no constant term")
-    inv0 = c0.inv()
-    out = [_ZERO] * (trunc + 1)
-    out[0] = inv0
-    for n in range(1, trunc + 1):
+    The power traces p_k = tr(g^k) give the elementary symmetric functions
+    of the eigenvalues by Newton's identities, k e_k = sum_i (-1)^(i-1)
+    e_(k-i) p_i, so det(Id - t g) = sum_k (-t)^k e_k; its inverse has
+    coefficients h_d = sum_k (-1)^(k-1) e_k h_(d-k)."""
+    ell = len(g)
+    power = g
+    traces = [sum((g[i][i] for i in range(ell)), _ZERO)]
+    for _ in range(1, ell):
+        power = mat_mul(power, g)
+        traces.append(sum((power[i][i] for i in range(ell)), _ZERO))
+    e = [_ONE]
+    for k in range(1, ell + 1):
         acc = _ZERO
-        for k in range(1, min(n, len(coeffs) - 1) + 1):
-            if coeffs[k]:
-                acc = acc + coeffs[k] * out[n - k]
-        out[n] = -(acc * inv0)
-    return out
-
-
-def _poly_matrix_det(g, dim):
-    """det(Id - t g) by cofactor expansion; coefficient list in t."""
-    rows = [[(_ONE if i == j else _ZERO, -g[i][j]) for j in range(dim)]
-            for i in range(dim)]
-
-    def expand(rs, cols):
-        if len(cols) == 1:
-            return rs[0][cols[0]]
-        acc = [_ZERO]
-        sign = 1
-        for pos, c in enumerate(cols):
-            entry = rs[0][c]
-            if not any(entry):
-                sign = -sign
-                continue
-            sub = expand(rs[1:], cols[:pos] + cols[pos + 1:])
-            prod = [_ZERO] * (len(entry) + len(sub) - 1)
-            for i, e in enumerate(entry):
-                if not e:
-                    continue
-                for j, s in enumerate(sub):
-                    if s:
-                        prod[i + j] = prod[i + j] + e * s
-            if sign < 0:
-                prod = [-p for p in prod]
-            while len(acc) < len(prod):
-                acc.append(_ZERO)
-            for i, p in enumerate(prod):
-                acc[i] = acc[i] + p
-            sign = -sign
-        return acc
-
-    return expand(rows, tuple(range(dim)))
-
-
-def _element_series(group, i, trunc):
-    """1/det(Id - t g_i) truncated, as cyclotomic coefficients."""
-    g = group.elements[i]
-    shape = _monomial_shape(g)
-    if shape is not None:
-        sigma, scalars = shape
-        out = [_ZERO] * (trunc + 1)
-        out[0] = _ONE
-        seen = set()
-        for start in range(len(sigma)):
-            if start in seen:
-                continue
-            cyc_len, scal, j = 0, _ONE, start
-            while True:
-                seen.add(j)
-                scal = scal * scalars[j]
-                cyc_len += 1
-                j = sigma[j]
-                if j == start:
-                    break
-            out = _poly_mul_trunc(out, _geometric(scal, cyc_len, trunc), trunc)
-        return out
-    return _series_invert(_poly_matrix_det(g, group.dim), trunc)
+        for i in range(1, k + 1):
+            term = e[k - i] * traces[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc * QQ(1, k))
+    h = [_ONE]
+    for d in range(1, trunc + 1):
+        acc = _ZERO
+        for k in range(1, min(d, ell) + 1):
+            if e[k]:
+                term = e[k] * h[d - k]
+                acc = acc + term if k % 2 else acc - term
+        h.append(acc)
+    return h
 
 
 def molien(group: ReflectionGroup, trunc: int) -> RatSeries:
-    """(1/|G|) sum_g 1/det(Id - t g): coefficient of t^d is dim S^G_d."""
+    """(1/|G|) sum_g 1/det(Id - t g): coefficient of t^d is dim S^G_d.
+    The summand is a class function, so it is evaluated once per conjugacy
+    class and weighted by the class size."""
     if trunc < 0:
         raise UsageError("truncation must be non-negative")
     ctx = _ctx(group)
     best = ctx.get("molien")
     if best is None or best.trunc < trunc:
         total = [_ZERO] * (trunc + 1)
-        for i in range(group.order):
-            series = _element_series(group, i, trunc)
-            for k, c in enumerate(series):
-                total[k] = total[k] + c
+        for rep, size in conjugacy_classes(group).classes:
+            for k, c in enumerate(_class_series(rep, trunc)):
+                total[k] = total[k] + c * size
         unit = QQ(1, group.order)
         coeffs = []
         for c in total:
@@ -818,7 +752,7 @@ def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedB
     return GradedBasis(graded.space, graded.nvars, out)
 
 
-def action_matrix(basis, mat, mat_inverse=None):
+def action_matrix(basis, mat):
     """Matrix of a linear map acting on the span of `basis` (row i holds
     the coordinates of the image of basis[i]).  Raises a diagnostic error
     when an image leaves the span."""
@@ -828,7 +762,8 @@ def action_matrix(basis, mat, mat_inverse=None):
     nv = basis[0].nvars
     d = basis[0].homogeneous_degree()
     monos = monomials_of_degree(nv, d)
-    if mat_inverse is None and space == CONTRAVARIANT:
+    mat_inverse = None
+    if space == CONTRAVARIANT:
         mat_inverse = mat_inv(coerce_matrix(mat))
     span = SpanSolver([_vec(p, monos) for p in basis])
     rows = []

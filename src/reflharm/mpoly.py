@@ -23,7 +23,7 @@ from __future__ import annotations
 import math
 from functools import lru_cache
 
-from .errors import DomainError, UsageError
+from .errors import UsageError
 from .linalg import mat_inv
 from .scalars import CycloScalar
 

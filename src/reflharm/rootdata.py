@@ -21,9 +21,7 @@ from __future__ import annotations
 from .errors import DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, matrix_key, weyl_group
 from .linalg import mat_inv, mat_mul
-from .scalars import QQ, CycloScalar, qq
-
-QQ_ZERO = qq(0)
+from .scalars import CycloScalar, qq
 
 SUBSYSTEM_PRESETS = {
     "C2:long-A1A1": ("C2", ((2, 0), (0, 2))),

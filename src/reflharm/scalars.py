@@ -30,12 +30,15 @@ QQ_ONE = QQ(1)
 
 def qq(value) -> QQ:
     """Coerce an int, string 'p/q' or rational to QQ."""
-    if isinstance(value, str):
-        if "/" in value:
-            num, den = value.split("/", 1)
-            return QQ(int(num), int(den))
-        return QQ(int(value))
-    return QQ(value)
+    try:
+        if isinstance(value, str):
+            if "/" in value:
+                num, den = value.split("/", 1)
+                return QQ(int(num), int(den))
+            return QQ(int(value))
+        return QQ(value)
+    except (TypeError, ValueError, ZeroDivisionError):
+        raise UsageError("cannot interpret %r as a rational" % (value,))
 
 
 def qq_str(value) -> str:
@@ -698,7 +701,11 @@ class CycloScalar:
     def from_json(data) -> "CycloScalar":
         if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
             raise UsageError("scalar JSON needs 'order' and 'coeffs'")
-        return CycloScalar(int(data["order"]), [qq(c) for c in data["coeffs"]])
+        order, coeffs = data["order"], data["coeffs"]
+        if type(order) is not int or not isinstance(coeffs, list):
+            raise UsageError("scalar JSON needs an integer 'order' and a "
+                             "'coeffs' array")
+        return CycloScalar(order, [qq(c) for c in coeffs])
 
     def __str__(self):
         red = self.reduce()

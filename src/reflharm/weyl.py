@@ -35,7 +35,7 @@ the split count over the F-classes of C are both covered by tests.
 from __future__ import annotations
 
 from .errors import CapError, DomainError, UsageError
-from .groups import ReflectionGroup, matrix_key
+from .groups import ReflectionGroup, matrix_from_json, matrix_key
 from .harmonics import action_trace, fixed_point_basis, harmonic_basis
 from .linalg import identity_matrix, mat_inv, mat_mul
 from .mpoly import coerce_matrix
@@ -84,15 +84,22 @@ class TwistData:
     def from_json(data) -> "TwistData":
         if not isinstance(data, dict) or "F0" not in data:
             raise UsageError("twist JSON needs an F0 matrix")
+        f0 = matrix_from_json(data["F0"])
         g = data.get("g", "one")
         if g == "one":
-            return TwistData(data["F0"])
+            return TwistData(f0)
         if isinstance(g, dict) and "indicator" in g:
-            return TwistData.indicator(data["F0"], g["indicator"])
+            return TwistData.indicator(f0, matrix_from_json(g["indicator"]))
         if isinstance(g, dict) and "values" in g:
-            values = [(entry["element"], CycloScalar.coerce(entry["value"]))
-                      for entry in g["values"]]
-            return TwistData(data["F0"], "values", values)
+            entries = g["values"]
+            if not isinstance(entries, list) or not all(
+                    isinstance(e, dict) and "element" in e and "value" in e
+                    for e in entries):
+                raise UsageError("weight values must be an array of "
+                                 "{\"element\", \"value\"} objects")
+            values = [(matrix_from_json(e["element"]),
+                       CycloScalar.coerce(e["value"])) for e in entries]
+            return TwistData(f0, "values", values)
         raise UsageError("twist weight must be \"one\", an indicator, or "
                          "explicit values")
 

@@ -183,6 +183,36 @@ def test_twist_file_errors(capsys, tmp_path):
     assert code == 1
 
 
+_ID2 = [[1, 0], [0, 1]]
+
+
+@pytest.mark.parametrize("argv,payload", [
+    (("group", "--generators"), {"generators": 5}),
+    (("group", "--generators"), {"generators": [5]}),
+    (("group", "--generators"), {"generators": [[5]]}),
+    (("group", "--generators"), {"generators": [[["a"]]]}),
+    (("group", "--generators"),
+     {"generators": [[[{"order": "x", "coeffs": [1]}]]]}),
+    (("count", "C2", "long-A1A1", "--twist"), {"F0": 5}),
+    (("count", "C2", "long-A1A1", "--twist"),
+     {"F0": _ID2, "g": {"values": 3}}),
+    (("count", "C2", "long-A1A1", "--twist"),
+     {"F0": _ID2, "g": {"indicator": 5}}),
+    (("count", "C2", "long-A1A1", "--twist"), {"F0": [["x", 0], [0, 1]]}),
+    (("count", "C2", "long-A1A1", "--twist"),
+     {"F0": _ID2, "g": {"values": [{"element": _ID2}]}}),
+], ids=["generators-int", "matrix-int", "row-int", "entry-string",
+        "order-string", "f0-int", "values-int", "indicator-int",
+        "f0-string", "value-missing"])
+def test_malformed_matrix_json_is_usage_error(capsys, tmp_path, argv,
+                                               payload):
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(payload))
+    code, _, err = run_cli(capsys, *argv, str(path))
+    assert code == 1
+    assert "usage error" in err
+
+
 def test_byte_determinism(capsys, tmp_path):
     _, first, _ = run_cli(capsys, "group", "--catalog", "weyl:B:2")
     _, second, _ = run_cli(capsys, "group", "--catalog", "weyl:B:2")

@@ -1,7 +1,7 @@
 import pytest
 
 from reflharm.errors import DomainError, VerificationError
-from reflharm.groups import ReflectionGroup, catalog
+from reflharm.groups import ReflectionGroup, catalog, registry_names
 from reflharm.harmonics import (
     GradedBasis,
     action_matrix,
@@ -53,22 +53,40 @@ def test_molien_oracles():
     assert list(series.coeffs) == list(want.coeffs)
 
 
+def _textbook_degrees(name):
+    kind, *args = name.split(":")
+    if kind == "cyclic":
+        return [int(args[0])]
+    if kind == "gmpn":
+        m, p, n = map(int, args)
+        return sorted([m * k for k in range(1, n)] + [n * m // p])
+    family, rank = args[0], int(args[1])
+    if family == "A":
+        return list(range(2, rank + 2))
+    if family in ("B", "C"):
+        return list(range(2, 2 * rank + 1, 2))
+    if family == "D":
+        return sorted(list(range(2, 2 * rank - 1, 2)) + [rank])
+    assert family == "G2"
+    return [2, 6]
+
+
 def test_invariant_degrees():
-    cases = [
-        ("weyl:B:2", [2, 4]),
-        ("cyclic:7", [7]),
-        ("weyl:A:2", [2, 3]),
-        ("gmpn:3:1:2", [3, 6]),
-        ("weyl:C:3", [2, 4, 6]),
-        ("weyl:G2:2", [2, 6]),
-        ("weyl:D:3", [2, 3, 4]),
-        ("weyl:D:4", [2, 4, 4, 6]),
-        ("gmpn:1:1:3", [1, 2, 3]),
-        ("gmpn:4:2:2", [4, 4]),
-        ("gmpn:3:3:2", [2, 3]),
-    ]
-    for name, want in cases:
-        assert invariant_degrees(catalog(name)) == want, name
+    # textbook degrees, and Molien against prod 1/(1 - t^d_i) up to 2 max d;
+    # covers monomial groups and the non-monomial weyl:A:* and weyl:G2:2
+    names = registry_names(192)
+    assert len(names) == 62
+    for name in names:
+        group = catalog(name)
+        want = _textbook_degrees(name)
+        assert invariant_degrees(group) == want, name
+        trunc = 2 * max(want)
+        expected = RatSeries([1], trunc)
+        for d in want:
+            expected = expected.divide(RatSeries([1] + [0] * (d - 1) + [-1],
+                                                 trunc))
+        series = molien(group, trunc)
+        assert list(series.coeffs) == list(expected.coeffs), name
 
 
 def test_invariant_basis_fixtures():
