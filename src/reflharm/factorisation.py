@@ -24,6 +24,7 @@ from .errors import UsageError
 from .groups import ReflectionGroup
 from .harmonics import (
     GradedBasis,
+    by_degree,
     fixed_point_basis,
     harmonic_basis,
     harmonic_poincare,
@@ -58,33 +59,18 @@ def _pair_ctx(group: ReflectionGroup, subgroup: ReflectionGroup) -> dict:
     return ctx
 
 
-def _sub_harmonics(ctx, subgroup, space) -> GradedBasis:
-    key = ("subH", space)
-    if key not in ctx:
-        ctx[key] = harmonic_basis(subgroup, "perp", space)
-    return ctx[key]
-
-
 def _fixed_harmonics(ctx, group, subgroup, space) -> GradedBasis:
     key = ("fixed", space)
     if key not in ctx:
-        ctx[key] = fixed_point_basis(harmonic_basis(group, "perp", space),
+        ctx[key] = fixed_point_basis(harmonic_basis(group, space=space),
                                      subgroup)
     return ctx[key]
-
-
-def _by_degree(poly: MPoly):
-    parts = {}
-    for exps, c in poly.terms.items():
-        parts.setdefault(sum(exps), {})[exps] = c
-    return [(d, MPoly(poly.space, poly.nvars, dict(t)))
-            for d, t in sorted(parts.items())]
 
 
 def _graded_member(ctx, tag, basis: GradedBasis, poly: MPoly) -> bool:
     if poly.nvars != basis.nvars or poly.space != basis.space:
         return False
-    for d, part in _by_degree(poly):
+    for d, part in by_degree(poly):
         rows = basis.basis(d)
         if not rows:
             return False
@@ -112,8 +98,8 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
     space = hprime.space
     if k.space != space:
         raise UsageError("tensor factors live in different variable sides")
-    if not _graded_member(ctx, "subspan", _sub_harmonics(ctx, subgroup, space),
-                          hprime):
+    if not _graded_member(ctx, "subspan",
+                          harmonic_basis(subgroup, space=space), hprime):
         raise UsageError("first factor is not a subgroup harmonic")
     if not _graded_member(ctx, "fixspan",
                           _fixed_harmonics(ctx, group, subgroup, space), k):
@@ -255,18 +241,19 @@ def xi_dual_compare(group, subgroup, h: MPoly, a: MPoly):
     return lhs, rhs, _collinear_scalar(lhs, rhs)
 
 
-def equivariance_check(group, subgroup, n_mat) -> bool:
+def equivariance_check(group, subgroup, n_mat, n_inv=None) -> bool:
     """Whether the factorisation map commutes with a joint normalizer of
-    the pair, tested on every basis tensor."""
+    the pair, tested on every basis tensor.  n_inv, when given, is the
+    exact inverse of n_mat; otherwise it is computed."""
     ctx = _pair_ctx(group, subgroup)
     mat = coerce_matrix(n_mat)
     if len(mat) != group.dim or any(len(r) != group.dim for r in mat):
         raise UsageError("normalizer matrix has the wrong size")
-    inv = mat_inv(mat)
+    inv = mat_inv(mat) if n_inv is None else n_inv
     if not (group.is_normalized_by(mat, inv)
             and subgroup.is_normalized_by(mat, inv)):
         raise UsageError("matrix does not normalize both groups")
-    subH = _sub_harmonics(ctx, subgroup, CONTRAVARIANT)
+    subH = harmonic_basis(subgroup)
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
     for hp in subH.all_polys():
         hp_n = hp.act(mat, inv)
@@ -281,23 +268,25 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
 
 def _builtin_normalizers(group, subgroup):
     """Coordinate permutations and the central sign that normalize both
-    groups; identity excluded, at most six in all."""
+    groups, as (label, matrix, inverse); identity excluded, at most six in
+    all.  The inverses are exact without elimination: -Id is its own, and
+    a permutation matrix's is its transpose."""
     one = CycloScalar.rational(1)
     zero = CycloScalar.rational(0)
     nv = group.dim
     found = []
     neg = [[-one if i == j else zero for j in range(nv)] for i in range(nv)]
-    found.append(("-id", neg))
+    found.append(("-id", neg, neg))
     if nv <= 4:
         for perm in itertools.permutations(range(nv)):
             if all(perm[i] == i for i in range(nv)):
                 continue
             mat = [[one if perm[i] == j else zero for j in range(nv)]
                    for i in range(nv)]
-            inv = mat_inv(mat)
+            inv = [list(col) for col in zip(*mat)]
             if group.is_normalized_by(mat, inv) and \
                     subgroup.is_normalized_by(mat, inv):
-                found.append(("perm%s" % (perm,), mat))
+                found.append(("perm%s" % (perm,), mat, inv))
             if len(found) >= 6:
                 break
     return found
@@ -313,9 +302,9 @@ def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup,
     each equivariance or duality entry carries its own outcome.
     """
     ctx = _pair_ctx(group, subgroup)
-    subH = _sub_harmonics(ctx, subgroup, CONTRAVARIANT)
+    subH = harmonic_basis(subgroup)
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
-    bigH = harmonic_basis(group, "perp", CONTRAVARIANT)
+    bigH = harmonic_basis(group)
     dim_identity = subgroup.order * fixed.dimension() == group.order
 
     bidegree_ranks = {}
@@ -351,14 +340,14 @@ def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup,
     if normalizers is None:
         candidates = _builtin_normalizers(group, subgroup)
     else:
-        candidates = [("user%d" % i, coerce_matrix(m))
+        candidates = [("user%d" % i, coerce_matrix(m), None)
                       for i, m in enumerate(normalizers)]
-    equivariance = [(label, equivariance_check(group, subgroup, mat))
-                    for label, mat in candidates]
+    equivariance = [(label, equivariance_check(group, subgroup, mat, inv))
+                    for label, mat, inv in candidates]
 
     dual_scalars = []
     if with_duality:
-        subHc = _sub_harmonics(ctx, subgroup, COVARIANT)
+        subHc = harmonic_basis(subgroup, space=COVARIANT)
         fixedc = _fixed_harmonics(ctx, group, subgroup, COVARIANT)
         for dh in sorted(subHc.degrees):
             for hi, h in enumerate(subHc.basis(dh)):

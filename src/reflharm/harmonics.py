@@ -6,13 +6,14 @@ The module computes, exactly:
     once per conjugacy class: each class's 1/det(Id - t g) comes from the
     power traces tr(g^k) through Newton's identities;
   * the invariant degrees d_1 <= ... <= d_l, peeled off the Molien series;
-  * echelon bases of the invariant spaces S^G_d, a set of free generators,
-    and the graded ideal F spanned by positive-degree invariants;
-  * the harmonic space H two independent ways ("perp": joint kernel of the
-    invariant differential operators, "derivative": derivatives of the skew
-    product), as canonical reduced-echelon graded bases;
-  * the projection S_d = H_d + F_d and fixed-point subspaces under
-    subgroups.
+  * the harmonic space H as canonical reduced-echelon graded bases, by the
+    production route "derivative" (derivatives of the skew product) and the
+    cross-check "perp" (joint kernel of the invariant operators);
+  * the projection S_d = H_d + F_d through the Gram matrix of the pairing
+    of H_d with the opposite-side H'_d, whose annihilator is F_d, and
+    fixed-point subspaces under subgroups;
+  * for the cross-checks only: echelon bases of the invariant spaces
+    S^G_d, free generators and the graded invariant ideal F.
 
 Harmonic degrees are capped at N = deg(skew product); H vanishes above N.
 
@@ -30,7 +31,7 @@ import weakref
 
 from .errors import DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, conjugacy_classes
-from .linalg import SpanSolver, kernel_basis, mat_inv, mat_mul, rref
+from .linalg import SpanSolver, kernel_basis, mat_inv, mat_mul, mat_vec, rref
 from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -38,6 +39,7 @@ from .mpoly import (
     _monomial_shape,
     coerce_matrix,
     monomials_of_degree,
+    pairing,
 )
 from .scalars import QQ, CycloScalar, RatPoly, RatSeries
 
@@ -246,10 +248,6 @@ def _peel_degrees(series: RatSeries, ell: int, trunc: int):
 # invariant bases and free generators
 
 
-def _vec(poly: MPoly, monos):
-    return poly.coeff_vector(monos)
-
-
 def invariant_basis(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
     """Echelon basis of S^G_d.
 
@@ -277,7 +275,7 @@ def invariant_basis(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
         for e in range(1, d // 2 + 1):
             for p in invariant_basis(group, e, space):
                 for q in invariant_basis(group, d - e, space):
-                    rows.append(_vec(p * q, monos))
+                    rows.append((p * q).coeff_vector(monos))
         if rows:
             rows, _ = rref(rows)
         if len(rows) < target:
@@ -286,7 +284,7 @@ def invariant_basis(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
                 avg = reynolds(group, MPoly.monomial(space, exps))
                 if avg.is_zero():
                     continue
-                v = _vec(avg, monos)
+                v = avg.coeff_vector(monos)
                 if not solver.contains(v):
                     rows.append(v)
                     if len(rows) == target:
@@ -319,11 +317,11 @@ def free_generators(group: ReflectionGroup, space: str = CONTRAVARIANT):
         for e in range(1, d // 2 + 1):
             for p in invariant_basis(group, e, space):
                 for q in invariant_basis(group, d - e, space):
-                    dec_rows.append(_vec(p * q, monos))
+                    dec_rows.append((p * q).coeff_vector(monos))
         solver = SpanSolver(dec_rows)
         got = 0
         for p in invariant_basis(group, d, space):
-            v = _vec(p, monos)
+            v = p.coeff_vector(monos)
             if not solver.contains(v):
                 gens.append(p)
                 got += 1
@@ -340,7 +338,8 @@ def free_generators(group: ReflectionGroup, space: str = CONTRAVARIANT):
 
 def ideal_component(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
     """Echelon basis of F_d, the degree-d slice of the ideal spanned by all
-    positive-degree invariants.  Equals span{m * f : f free generator}."""
+    positive-degree invariants.  Equals span{m * f : f free generator}:
+    the generator-built reference that project_to_H is tested against."""
     if d < 0:
         raise UsageError("degree must be non-negative")
     ctx = _ctx(group)
@@ -355,7 +354,7 @@ def ideal_component(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
         if gd > d:
             continue
         for exps in monomials_of_degree(nv, d - gd):
-            rows.append(_vec(MPoly.monomial(space, exps) * gen, monos))
+            rows.append((MPoly.monomial(space, exps) * gen).coeff_vector(monos))
     rows, _ = rref(rows)
     out = [MPoly.from_vector(space, monos, r) for r in rows]
     ctx[key] = tuple(out)
@@ -491,16 +490,17 @@ def _local_rref_to_global(vectors, block, ncols, zero):
 # harmonic bases
 
 
-def harmonic_basis(group: ReflectionGroup, method: str = "perp",
+def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
                    space: str = CONTRAVARIANT) -> GradedBasis:
     """Graded echelon basis of the harmonic space H, by degree up to N.
 
-    method "perp": joint kernel of the differential operators given by the
-    free invariant generators of the opposite side (equivalently, the
-    annihilator of the opposite-side ideal).  method "derivative": span of
-    the derivatives of the skew product by all opposite-side monomials.
-    Both yield the same canonical bases; keeping the two routes separate is
-    the point, so they share no solver code.
+    method "derivative" (the production basis): span of the derivatives of
+    the skew product by all opposite-side monomials; it needs no
+    invariants.  method "perp" (the independent cross-check): joint kernel
+    of the differential operators given by the free invariant generators
+    of the opposite side (equivalently, the annihilator of the
+    opposite-side ideal).  Both yield the same canonical bases; keeping the
+    two routes separate is the point, so they share no solver code.
     """
     if method not in ("perp", "derivative"):
         raise UsageError("method must be 'perp' or 'derivative'")
@@ -672,50 +672,58 @@ def _pivot_position(row):
 
 
 def _projection_solver(group, d, space):
+    """H_d, the opposite-side H'_d and the inverse of the Gram matrix
+    [a, h] (a in H'_d, h in H_d).  F_d is the annihilator of H'_d, so h is
+    the harmonic part of p exactly when [a, p] = [a, h] for all a."""
     ctx = _ctx(group)
     key = ("proj", space, d)
     if key in ctx:
         return ctx[key]
-    monos = monomials_of_degree(group.dim, d)
-    hbasis = harmonic_basis(group, "perp", space).basis(d)
-    fbasis = ideal_component(group, d, space)
-    rows = [_vec(p, monos) for p in hbasis] + [_vec(p, monos) for p in fbasis]
-    if len(rows) != len(monos):
+    hbasis = harmonic_basis(group, space=space).basis(d)
+    dual = harmonic_basis(group, space=_opposite(space)).basis(d)
+    if len(hbasis) != len(dual):
+        nmonos = len(monomials_of_degree(group.dim, d))
         raise DomainError(
             "H_%d and F_%d do not fill S_%d (dims %d + %d != %d)"
-            % (d, d, d, len(hbasis), len(fbasis), len(monos)))
-    solver = SpanSolver(rows)
-    if solver.rank != len(monos):
-        raise DomainError("H_%d and F_%d overlap" % (d, d))
-    got = (solver, len(hbasis), monos, hbasis, fbasis)
+            % (d, d, d, len(hbasis), nmonos - len(dual), nmonos))
+    try:
+        gram_inv = mat_inv([[pairing(a, h) for h in hbasis] for a in dual])
+    except DomainError:
+        raise DomainError("H_%d and F_%d overlap" % (d, d)) from None
+    got = (hbasis, dual, gram_inv)
     ctx[key] = got
     return got
+
+
+def by_degree(poly: MPoly):
+    """The homogeneous parts of poly as sorted (degree, part) pairs."""
+    parts = {}
+    for exps, c in poly.terms.items():
+        parts.setdefault(sum(exps), {})[exps] = c
+    return [(d, MPoly(poly.space, poly.nvars, dict(t)))
+            for d, t in sorted(parts.items())]
 
 
 def project_to_H(group: ReflectionGroup, poly: MPoly):
     """Split poly = h + f with h harmonic and f in the invariant ideal.
 
-    Works degree by degree; above N the harmonic part is zero.
+    Works degree by degree through the Gram matrix of the pairing with the
+    opposite-side harmonics; above N the harmonic part is zero.
     """
     if poly.nvars != group.dim:
         raise UsageError("polynomial width does not match the group")
     space = poly.space
     n_top = group.skew_degree()
-    by_deg = {}
-    for exps, c in poly.terms.items():
-        by_deg.setdefault(sum(exps), {})[exps] = c
     h_total = MPoly.zero(space, poly.nvars)
     f_total = MPoly.zero(space, poly.nvars)
-    for d, terms in sorted(by_deg.items()):
-        part = MPoly(space, poly.nvars, dict(terms))
+    for d, part in by_degree(poly):
         if d > n_top:
             f_total = f_total + part
             continue
-        solver, hdim, monos, hbasis, fbasis = _projection_solver(
-            group, d, space)
-        coords = solver.express(_vec(part, monos))
+        hbasis, dual, gram_inv = _projection_solver(group, d, space)
+        coords = mat_vec(gram_inv, [pairing(a, part) for a in dual])
         h = MPoly.zero(space, poly.nvars)
-        for c, b in zip(coords[:hdim], hbasis):
+        for c, b in zip(coords, hbasis):
             if c:
                 h = h + b.scale(c)
         h_total = h_total + h
@@ -736,11 +744,11 @@ def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedB
     for d in sorted(graded.degrees):
         basis = graded.degrees[d]
         monos = monomials_of_degree(graded.nvars, d)
-        span = SpanSolver([_vec(p, monos) for p in basis])
+        span = SpanSolver([p.coeff_vector(monos) for p in basis])
         rows = []
         for p in basis:
             avg = reynolds(subgroup, p)
-            v = _vec(avg, monos)
+            v = avg.coeff_vector(monos)
             if not span.contains(v):
                 raise VerificationError(
                     "subgroup does not stabilize the degree-%d piece" % d)
@@ -765,10 +773,10 @@ def action_matrix(basis, mat):
     mat_inverse = None
     if space == CONTRAVARIANT:
         mat_inverse = mat_inv(coerce_matrix(mat))
-    span = SpanSolver([_vec(p, monos) for p in basis])
+    span = SpanSolver([p.coeff_vector(monos) for p in basis])
     rows = []
     for p in basis:
-        coords = span.express(_vec(p.act(mat, mat_inverse), monos))
+        coords = span.express(p.act(mat, mat_inverse).coeff_vector(monos))
         if coords is None:
             raise VerificationError("action leaves the spanned subspace")
         rows.append(coords)

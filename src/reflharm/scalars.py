@@ -21,7 +21,7 @@ from .errors import DomainError, UsageError
 
 try:
     from gmpy2 import mpq as QQ
-except ImportError:  # pragma: no cover - gmpy2 is a declared dependency
+except ImportError:  # gmpy2 is the optional `fast` extra
     from fractions import Fraction as QQ
 
 QQ_ZERO = QQ(0)

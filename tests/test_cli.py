@@ -6,6 +6,7 @@ import sys
 
 import pytest
 
+from reflharm import harmonics
 from reflharm.cli import main
 from reflharm.groups import matrix_key, weyl_group
 from reflharm.mpoly import MPoly, coerce_matrix
@@ -121,6 +122,31 @@ def test_fake_degrees_b2(capsys):
     assert sorted(data["degrees"]) == [1, 1, 1, 1, 2]
     assert [0, 1, 0, 1] in data["fake_degrees"]
     assert data["fake_degrees"][0] == [1]
+
+
+PRODUCTION_COMMANDS = [
+    ("harmonics", "--catalog", "weyl:B:3"),
+    ("fake-degrees", "--catalog", "gmpn:3:1:3"),
+    ("factorise", "--catalog", "weyl:B:2", "--subgroup-reflections", "1,2"),
+    ("count", "C2", "long-A1A1"),
+]
+
+
+@pytest.mark.parametrize("argv", PRODUCTION_COMMANDS, ids=lambda a: a[0])
+def test_production_commands_skip_invariant_ring(capsys, monkeypatch, argv):
+    """Harmonic bases and projections come from the skew product and the
+    pairing alone: no free generators, ideal or perp kernel is built."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("production path built invariant-ring data")
+
+    for name in ("free_generators", "ideal_component",
+                 "_harmonic_degree_perp"):
+        monkeypatch.setattr(harmonics, name, refuse)
+    patched = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    plain = run_cli(capsys, *argv)
+    assert patched[:2] == plain[:2]
+    assert plain[0] == 0
 
 
 def test_count_split(capsys):

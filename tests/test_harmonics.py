@@ -1,5 +1,6 @@
 import pytest
 
+from reflharm import harmonics
 from reflharm.errors import DomainError, VerificationError
 from reflharm.groups import ReflectionGroup, catalog, registry_names
 from reflharm.harmonics import (
@@ -15,7 +16,14 @@ from reflharm.harmonics import (
     project_to_H,
     reynolds,
 )
-from reflharm.mpoly import CONTRAVARIANT, COVARIANT, MPoly, diff_apply
+from reflharm.linalg import SpanSolver
+from reflharm.mpoly import (
+    CONTRAVARIANT,
+    COVARIANT,
+    MPoly,
+    diff_apply,
+    monomials_of_degree,
+)
 from reflharm.scalars import CycloScalar, RatPoly, RatSeries, qq
 
 ONE = CycloScalar.rational(1)
@@ -203,6 +211,57 @@ def test_project_to_H_b2():
     inv = P(2, ((2, 0), 1), ((0, 2), 1))
     h, f = project_to_H(b2, inv)
     assert h.is_zero() and f == inv
+
+
+@pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
+@pytest.mark.parametrize("name", ["weyl:B:3", "weyl:G2:2", "gmpn:3:1:2",
+                                  "cyclic:6"])
+def test_project_to_H_matches_ideal_oracle(name, space):
+    """project_to_H (pairing Gram system over the derivative route) agrees
+    with the perp harmonics and the generator-built ideal_component."""
+    g = catalog(name)
+    n_top = g.skew_degree()
+    perp = harmonic_basis(g, "perp", space)
+    for d in range(n_top + 2):
+        monos = monomials_of_degree(g.dim, d)
+        h_span = SpanSolver([b.coeff_vector(monos) for b in perp.basis(d)])
+        f_span = SpanSolver([b.coeff_vector(monos)
+                             for b in ideal_component(g, d, space)])
+        for exps in monos:
+            p = MPoly.monomial(space, exps)
+            h, f = project_to_H(g, p)
+            assert h + f == p
+            if d > n_top:
+                assert h.is_zero()
+            else:
+                assert h_span.contains(h.coeff_vector(monos)), (exps, h)
+            assert f_span.contains(f.coeff_vector(monos)), (exps, f)
+
+
+def test_projection_checks_fill_and_overlap(monkeypatch):
+    b2 = catalog("weyl:B:2")
+    x = MPoly.variable(COVARIANT, 2, 0)
+    real = harmonic_basis
+
+    def broken(dual_degree_1):
+        def fake(group, method="derivative", space=CONTRAVARIANT):
+            basis = real(group, method, space)
+            if space == COVARIANT:
+                degrees = dict(basis.degrees)
+                degrees[1] = dual_degree_1
+                basis = GradedBasis(space, basis.nvars, degrees)
+            return basis
+        return fake
+
+    monkeypatch.setattr(harmonics, "harmonic_basis", broken([x]))
+    with pytest.raises(DomainError, match="do not fill"):
+        project_to_H(b2, P(2, ((1, 0), 1)))
+    monkeypatch.setattr(harmonics, "harmonic_basis", broken([x, x]))
+    with pytest.raises(DomainError, match="overlap"):
+        project_to_H(b2, P(2, ((1, 0), 1)))
+    monkeypatch.undo()
+    h, f = project_to_H(b2, P(2, ((1, 0), 1)))
+    assert h == P(2, ((1, 0), 1)) and f.is_zero()
 
 
 def test_fixed_point_basis_fixtures():
