@@ -241,15 +241,14 @@ def xi_dual_compare(group, subgroup, h: MPoly, a: MPoly):
     return lhs, rhs, _collinear_scalar(lhs, rhs)
 
 
-def equivariance_check(group, subgroup, n_mat, n_inv=None) -> bool:
+def equivariance_check(group, subgroup, n_mat) -> bool:
     """Whether the factorisation map commutes with a joint normalizer of
-    the pair, tested on every basis tensor.  n_inv, when given, is the
-    exact inverse of n_mat; otherwise it is computed."""
+    the pair, tested on every basis tensor."""
     ctx = _pair_ctx(group, subgroup)
     mat = coerce_matrix(n_mat)
     if len(mat) != group.dim or any(len(r) != group.dim for r in mat):
         raise UsageError("normalizer matrix has the wrong size")
-    inv = mat_inv(mat) if n_inv is None else n_inv
+    inv = mat_inv(mat)
     if not (group.is_normalized_by(mat, inv)
             and subgroup.is_normalized_by(mat, inv)):
         raise UsageError("matrix does not normalize both groups")
@@ -268,15 +267,15 @@ def equivariance_check(group, subgroup, n_mat, n_inv=None) -> bool:
 
 def _builtin_normalizers(group, subgroup):
     """Coordinate permutations and the central sign that normalize both
-    groups, as (label, matrix, inverse); identity excluded, at most six in
-    all.  The inverses are exact without elimination: -Id is its own, and
-    a permutation matrix's is its transpose."""
+    groups; identity excluded, at most six in all.  The normaliser test
+    takes the transpose as a permutation matrix's inverse, so no
+    elimination runs here."""
     one = CycloScalar.rational(1)
     zero = CycloScalar.rational(0)
     nv = group.dim
     found = []
     neg = [[-one if i == j else zero for j in range(nv)] for i in range(nv)]
-    found.append(("-id", neg, neg))
+    found.append(("-id", neg))
     if nv <= 4:
         for perm in itertools.permutations(range(nv)):
             if all(perm[i] == i for i in range(nv)):
@@ -286,7 +285,7 @@ def _builtin_normalizers(group, subgroup):
             inv = [list(col) for col in zip(*mat)]
             if group.is_normalized_by(mat, inv) and \
                     subgroup.is_normalized_by(mat, inv):
-                found.append(("perm%s" % (perm,), mat, inv))
+                found.append(("perm%s" % (perm,), mat))
             if len(found) >= 6:
                 break
     return found
@@ -340,10 +339,10 @@ def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup,
     if normalizers is None:
         candidates = _builtin_normalizers(group, subgroup)
     else:
-        candidates = [("user%d" % i, coerce_matrix(m), None)
+        candidates = [("user%d" % i, coerce_matrix(m))
                       for i, m in enumerate(normalizers)]
-    equivariance = [(label, equivariance_check(group, subgroup, mat, inv))
-                    for label, mat, inv in candidates]
+    equivariance = [(label, equivariance_check(group, subgroup, mat))
+                    for label, mat in candidates]
 
     dual_scalars = []
     if with_duality:

@@ -139,7 +139,7 @@ def test_production_commands_skip_invariant_ring(capsys, monkeypatch, argv):
     def refuse(*args, **kwargs):
         raise AssertionError("production path built invariant-ring data")
 
-    for name in ("free_generators", "ideal_component",
+    for name in ("invariant_basis", "free_generators", "ideal_component",
                  "_harmonic_degree_perp"):
         monkeypatch.setattr(harmonics, name, refuse)
     patched = run_cli(capsys, *argv)
