@@ -134,6 +134,8 @@ def _combine_mod(basis, coeffs, p):
 def _common_eigenvectors(mats, p):
     """Split F_p^k into common one-dimensional eigenspaces of a family of
     commuting diagonalizable matrices."""
+    if not mats:  # one class: F_p^1 is already an eigenspace
+        return [[1]]
     k = len(mats[0])
     spaces = [[[1 if r == c else 0 for r in range(k)] for c in range(k)]]
     for mat in mats:

@@ -5,12 +5,21 @@ matrices), found by breadth-first closure of a generating set.  Storage
 order is deterministic: identity first, then products in discovery order
 with a fixed generator order, deduplicated by canonical matrix keys.
 
+The closure also keeps the group's integer structure: the index of every
+element times every generator, and for each element the parent and
+generator it was first found from, which spell it as a word in the
+generators.  Products (mul_index), inverses, element orders and conjugacy
+classes are computed on these indices alone; matrices are multiplied only
+during the closure and where a matrix is the answer.
+
 Reflections are the elements g with rank(g - Id) = 1.  Each reflecting
 hyperplane H carries the linear form cutting it out (a contravariant
 degree-1 polynomial, first nonzero coefficient normalised to 1), the
 matching covariant root form, and the order e_H of the pointwise
-stabiliser of H, counted definitionally over all elements.  The two skew
-products are
+stabiliser of H.  A non-identity g fixing H pointwise has rank(g - Id) = 1
+and kernel H, so it is a reflection whose rows are multiples of H's form:
+e_H is one more than the number of reflections grouped under that form.
+The two skew products are
 
     skew_contravariant = prod_H L_H^(e_H - 1)   (transforms by det)
     skew_covariant     = prod_H a_H^(e_H - 1)   (same on the dual side)
@@ -34,7 +43,7 @@ import math
 from typing import NamedTuple
 
 from .errors import CapError, DomainError, UsageError
-from .linalg import det, identity_matrix, kernel_basis, mat_inv, mat_mul, mat_vec, rank
+from .linalg import det, identity_matrix, mat_mul, rank
 from .mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix
 from .scalars import CycloScalar
 
@@ -92,28 +101,47 @@ class ReflectionGroup:
         self.name = name
         ident = identity_matrix(dim, CYC_ONE)
         elements = [ident]
-        inverses = [ident]
         index = {matrix_key(ident): 0}
-        geninv = [mat_inv(g) for g in gens]
+        right = []          # right[i][k]: index of elements[i] * gens[k]
+        parent = [0]        # elements[j] = elements[parent[j]] * gens[letter[j]]
+        letter = [None]
         cursor = 0
         while cursor < len(elements):
             base = elements[cursor]
-            base_inv = inverses[cursor]
-            for g, gi in zip(gens, geninv):
+            row = []
+            for k, g in enumerate(gens):
                 prod = mat_mul(base, g)
                 key = matrix_key(prod)
-                if key in index:
-                    continue
-                if len(elements) >= cap:
-                    raise CapError(
-                        "group closure exceeded cap of %d elements" % cap)
-                index[key] = len(elements)
-                elements.append(prod)
-                inverses.append(mat_mul(gi, base_inv))
+                j = index.get(key)
+                if j is None:
+                    if len(elements) >= cap:
+                        raise CapError(
+                            "group closure exceeded cap of %d elements" % cap)
+                    j = index[key] = len(elements)
+                    elements.append(prod)
+                    parent.append(cursor)
+                    letter.append(k)
+                row.append(j)
+            right.append(row)
             cursor += 1
         self.elements = elements
-        self.inverses = inverses
         self._index = index
+        self._right = right
+        self._parent = parent
+        self._letter = letter
+        # gens[k]^-1 is the last element before the cycle of gens[k] closes
+        gen_inv = []
+        for k in range(len(gens)):
+            x = 0
+            while right[x][k]:
+                x = right[x][k]
+            gen_inv.append(x)
+        # (p g)^-1 = g^-1 p^-1, and parents precede their children
+        inv = [0]
+        for j in range(1, len(elements)):
+            inv.append(self.mul_index(gen_inv[letter[j]], inv[parent[j]]))
+        self._inv = inv
+        self.inverses = [elements[x] for x in inv]
         self.generators = gens
         self._dets = None
         self._reflections = None
@@ -145,10 +173,23 @@ class ReflectionGroup:
         return self.index_of(mat) is not None
 
     def mul_index(self, i: int, j: int) -> int:
-        return self._index[matrix_key(mat_mul(self.elements[i], self.elements[j]))]
+        """Index of elements[i] * elements[j], without a matrix product.
+
+        The closure stored j as a word g_a1 ... g_am in the generators
+        (through the parent links) and the index of every element times
+        every generator, so i is multiplied by the letters of j in turn.
+        """
+        word = []
+        while j:
+            word.append(self._letter[j])
+            j = self._parent[j]
+        right = self._right
+        for k in reversed(word):
+            i = right[i][k]
+        return i
 
     def inverse_index(self, i: int) -> int:
-        return self._index[matrix_key(self.inverses[i])]
+        return self._inv[i]
 
     def determinant(self, i: int) -> CycloScalar:
         if self._dets is None:
@@ -229,22 +270,17 @@ class ReflectionGroup:
             if key in buckets:
                 buckets[key][2].append(i)
             else:
-                buckets[key] = (row, col, [i], moved)
+                buckets[key] = (row, col, [i])
         planes = []
         for key in sorted(buckets):
-            row, col, idxs, moved = buckets[key]
-            basis = kernel_basis(moved, self.dim, one=CYC_ONE)
-            e = 0
-            for g in self.elements:
-                if all(mat_vec(g, v) == v for v in basis):
-                    e += 1
+            row, col, idxs = buckets[key]
             form = MPoly(CONTRAVARIANT, self.dim,
                          {tuple(1 if k == j else 0 for k in range(self.dim)): c
                           for j, c in enumerate(row) if c})
             cov = MPoly(COVARIANT, self.dim,
                         {tuple(1 if k == j else 0 for k in range(self.dim)): c
                          for j, c in enumerate(col) if c})
-            planes.append(Hyperplane(form, cov, e, tuple(idxs)))
+            planes.append(Hyperplane(form, cov, len(idxs) + 1, tuple(idxs)))
         self._plane_index = {key: k for k, key in enumerate(sorted(buckets))}
         self._hyperplanes = planes
         return planes

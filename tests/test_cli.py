@@ -7,8 +7,9 @@ import sys
 import pytest
 
 from reflharm import harmonics
+from reflharm.characters import character_table
 from reflharm.cli import main
-from reflharm.groups import matrix_key, weyl_group
+from reflharm.groups import catalog, matrix_key, registry_names, weyl_group
 from reflharm.mpoly import MPoly, coerce_matrix
 from reflharm.scalars import RatPoly
 
@@ -122,6 +123,22 @@ def test_fake_degrees_b2(capsys):
     assert sorted(data["degrees"]) == [1, 1, 1, 1, 2]
     assert [0, 1, 0, 1] in data["fake_degrees"]
     assert data["fake_degrees"][0] == [1]
+
+
+ORDER_ONE_GROUPS = [name for name in registry_names(192)
+                    if catalog(name).order == 1]
+
+
+@pytest.mark.parametrize("name", ORDER_ONE_GROUPS)
+def test_fake_degrees_order_one(capsys, name):
+    # one conjugacy class leaves no class-algebra matrix to diagonalise
+    code, out, err = run_cli(capsys, "fake-degrees", "--catalog", name)
+    assert code == 0, err
+    assert "Traceback" not in err
+    data = json.loads(out)
+    assert data["degrees"] == [1]
+    assert data["fake_degrees"] == [[1]]
+    assert character_table(catalog(name)).irreducibles == ((1,),)
 
 
 PRODUCTION_COMMANDS = [

@@ -6,12 +6,13 @@ from reflharm.errors import CapError, DomainError, UsageError
 from reflharm.groups import (
     ReflectionGroup,
     catalog,
+    conjugacy_classes,
     matrix_from_json,
     matrix_to_json,
     registry_names,
     weyl_group,
 )
-from reflharm.linalg import identity_matrix, mat_inv, mat_mul
+from reflharm.linalg import identity_matrix, kernel_basis, mat_inv, mat_mul, mat_vec
 from reflharm.mpoly import MPoly, CONTRAVARIANT
 from reflharm.scalars import CycloScalar
 
@@ -256,3 +257,70 @@ def test_is_normalized_by_matches_elementwise_definition(name, normalising):
     # -Id is central, so it always normalises; the count pins both outcomes
     assert outcomes[0]
     assert sum(outcomes) == normalising <= len(cands)
+
+
+# -- the index core against matrix arithmetic done here
+
+def _index_core_group(name):
+    if name == "sub":
+        # B2 on the first two coordinates inside B3: not abelian
+        return weyl_group("B", 3).subgroup_from_matrices(
+            [[[0, 1, 0], [1, 0, 0], [0, 0, 1]],
+             [[-1, 0, 0], [0, 1, 0], [0, 0, 1]]])
+    return catalog(name)
+
+
+INDEX_CORE_GROUPS = ["weyl:A:3", "weyl:G2:2", "gmpn:3:1:3", "gmpn:4:2:3", "sub"]
+
+
+@pytest.mark.parametrize("name", INDEX_CORE_GROUPS)
+def test_index_core_matches_matrices(name):
+    group = _index_core_group(name)
+    els = group.elements
+    ident = identity_matrix(group.dim, ONE)
+    if group.order <= 48:
+        sample = range(group.order)
+    else:
+        sample = sorted(set(range(1, group.order, 17)) | {group.order - 1})
+    for i in range(group.order):
+        for j in sample:
+            assert group.mul_index(i, j) == group.index_of(
+                mat_mul(els[i], els[j])), (i, j)
+
+    for i in range(group.order):
+        j = group.inverse_index(i)
+        assert mat_mul(els[i], els[j]) == ident, i
+        assert group.inverse(i) == mat_inv(els[i]), i
+
+        power, n = els[i], 1
+        while power != ident:
+            power = mat_mul(power, els[i])
+            n += 1
+        assert group.element_order(i) == n, i
+
+    classes = conjugacy_classes(group)
+    inverses = [mat_inv(g) for g in els]
+    covered = set()
+    for c, rep in enumerate(classes.rep_indices):
+        orbit = {group.index_of(mat_mul(mat_mul(g, els[rep]), gi))
+                 for g, gi in zip(els, inverses)}
+        assert orbit == {x for x in range(group.order)
+                         if classes.class_of[x] == c}, c
+        assert rep == min(orbit)
+        assert classes.sizes[c] == len(orbit)
+        covered |= orbit
+    assert covered == set(range(group.order))
+
+
+@pytest.mark.parametrize("name", ["weyl:B:3", "weyl:G2:2", "gmpn:4:2:3",
+                                  "gmpn:3:3:3", "cyclic:6"])
+def test_hyperplane_order_is_pointwise_stabiliser(name):
+    # e_H by its definition: the elements fixing a basis of H pointwise
+    group = catalog(name)
+    units = [tuple(1 if a == b else 0 for a in range(group.dim))
+             for b in range(group.dim)]
+    for pl in group.hyperplanes():
+        basis = kernel_basis([pl.form.coeff_vector(units)], group.dim, one=ONE)
+        fixing = sum(1 for g in group.elements
+                     if all(mat_vec(g, v) == v for v in basis))
+        assert pl.order == fixing, pl
