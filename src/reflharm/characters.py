@@ -331,11 +331,8 @@ def character_table(group: ReflectionGroup,
 def graded_character(group: ReflectionGroup, space: GradedBasis, d: int):
     """Trace of each class representative on the degree-d component,
     as a tuple aligned with conjugacy_classes(group)."""
-    classes = conjugacy_classes(group)
-    basis = space.basis(d)
-    if not basis:
-        return tuple(CycloScalar.rational(0) for _ in range(len(classes)))
-    return tuple(action_trace(basis, rep) for rep, _ in classes.classes)
+    return tuple(action_trace(space.basis(d), rep)
+                 for rep, _ in conjugacy_classes(group).classes)
 
 
 def _integer_inner(values, sizes, row, order):

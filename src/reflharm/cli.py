@@ -201,6 +201,8 @@ def _cmd_factorise(args):
                              % (chunk,))
     if not picks:
         raise UsageError("no subgroup reflections given")
+    if not refl:
+        raise UsageError("the group has no reflections to choose from")
     for i in picks:
         if not 0 <= i < len(refl):
             raise UsageError("reflection index %d out of range 0..%d"

@@ -25,13 +25,14 @@ from .groups import ReflectionGroup
 from .harmonics import (
     GradedBasis,
     by_degree,
+    echelon_piece,
     fixed_point_basis,
     harmonic_basis,
     harmonic_poincare,
     invariant_degrees,
     project_to_H,
 )
-from .linalg import SpanSolver, mat_inv, rref
+from .linalg import echelon_coordinates, mat_inv, rref
 from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -67,21 +68,18 @@ def _fixed_harmonics(ctx, group, subgroup, space) -> GradedBasis:
     return ctx[key]
 
 
-def _graded_member(ctx, tag, basis: GradedBasis, poly: MPoly) -> bool:
+def _graded_member(basis: GradedBasis, poly: MPoly) -> bool:
+    """Whether poly lies in the span of an echelon graded basis, read
+    degree by degree at the pivot columns of each piece."""
     if poly.nvars != basis.nvars or poly.space != basis.space:
         return False
     for d, part in by_degree(poly):
         rows = basis.basis(d)
         if not rows:
             return False
-        key = (tag, poly.space, d)
-        solver = ctx.get(key)
-        if solver is None:
-            monos = monomials_of_degree(basis.nvars, d)
-            solver = SpanSolver([p.coeff_vector(monos) for p in rows])
-            ctx[key] = solver
-        monos = monomials_of_degree(basis.nvars, d)
-        if not solver.contains(part.coeff_vector(monos)):
+        monos, ech, pivots = echelon_piece(rows)
+        if echelon_coordinates(ech, pivots,
+                               part.coeff_vector(monos)) is None:
             return False
     return True
 
@@ -98,11 +96,9 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
     space = hprime.space
     if k.space != space:
         raise UsageError("tensor factors live in different variable sides")
-    if not _graded_member(ctx, "subspan",
-                          harmonic_basis(subgroup, space=space), hprime):
+    if not _graded_member(harmonic_basis(subgroup, space=space), hprime):
         raise UsageError("first factor is not a subgroup harmonic")
-    if not _graded_member(ctx, "fixspan",
-                          _fixed_harmonics(ctx, group, subgroup, space), k):
+    if not _graded_member(_fixed_harmonics(ctx, group, subgroup, space), k):
         raise UsageError("second factor is not a subgroup-fixed harmonic")
     h, _ = project_to_H(group, hprime * k)
     return h

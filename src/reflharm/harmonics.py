@@ -2,18 +2,21 @@
 
 The module computes, exactly:
 
-  * the Reynolds (averaging) projection and the Molien series, summed
-    once per conjugacy class: each class's 1/det(Id - t g) comes from the
-    power traces tr(g^k) through Newton's identities;
+  * the Molien series, summed once per conjugacy class: each class's
+    1/det(Id - t g) comes from the power traces tr(g^k) through Newton's
+    identities;
   * the invariant degrees d_1 <= ... <= d_l, peeled off the Molien series;
   * the harmonic space H as canonical reduced-echelon graded bases, by the
     production route "derivative" (derivatives of the skew product) and the
     cross-check "perp" (joint kernel of the invariant operators);
+  * on such echelon pieces, the matrix of a linear map (coordinates are
+    the entries at the pivot columns) and the fixed points of a subgroup
+    (the common left kernel of g - Id over its generators);
   * the projection S_d = H_d + F_d through the Gram matrix of the pairing
-    of H_d with the opposite-side H'_d, whose annihilator is F_d, and
-    fixed-point subspaces under subgroups;
-  * for the cross-checks only: echelon bases of the invariant spaces
-    S^G_d, free generators and the graded invariant ideal F.
+    of H_d with the opposite-side H'_d, whose annihilator is F_d;
+  * for the cross-checks only: the Reynolds (averaging) projection, echelon
+    bases of the invariant spaces S^G_d, free generators and the graded
+    invariant ideal F.
 
 Harmonic degrees are capped at N = deg(skew product); H vanishes above N.
 
@@ -31,7 +34,8 @@ import weakref
 
 from .errors import DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, conjugacy_classes
-from .linalg import SpanSolver, kernel_basis, mat_inv, mat_mul, mat_vec, rref
+from .linalg import (SpanSolver, echelon_coordinates, kernel_basis, mat_inv,
+                     mat_mul, mat_vec, rref)
 from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -734,49 +738,60 @@ def project_to_H(group: ReflectionGroup, poly: MPoly):
 def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedBasis:
     """Echelon bases of the subgroup-fixed vectors inside each degree piece.
 
-    Averages each basis element over the subgroup and checks the averages
-    stay inside the original span (otherwise the subgroup does not
-    stabilize the space and a diagnostic error is raised).
+    Each piece must be in reduced echelon form.  The fixed coordinates are
+    the common left kernel of A_g - Id over the subgroup's generators g,
+    A_g = action_matrix(piece, g), so no group average is taken.  A
+    generator that moves a piece out of itself raises a diagnostic error.
     """
     if subgroup.dim != graded.nvars:
         raise UsageError("subgroup dimension does not match the basis")
     out = {}
     for d in sorted(graded.degrees):
         basis = graded.degrees[d]
-        monos = monomials_of_degree(graded.nvars, d)
-        span = SpanSolver([p.coeff_vector(monos) for p in basis])
-        rows = []
-        for p in basis:
-            avg = reynolds(subgroup, p)
-            v = avg.coeff_vector(monos)
-            if not span.contains(v):
+        k = len(basis)
+        columns = []
+        for g in subgroup.generators:
+            try:
+                act = action_matrix(basis, g)
+            except VerificationError:
                 raise VerificationError(
-                    "subgroup does not stabilize the degree-%d piece" % d)
-            if not avg.is_zero():
-                rows.append(v)
-        ech, _ = rref(rows)
+                    "subgroup does not stabilize the degree-%d piece" % d
+                ) from None
+            columns.extend([act[i][j] - _ONE if i == j else act[i][j]
+                            for i in range(k)] for j in range(k))
+        monos, vecs, _ = echelon_piece(basis)
+        ech, _ = rref(mat_mul(kernel_basis(columns, k, one=_ONE), vecs))
         if ech:
             out[d] = [MPoly.from_vector(graded.space, monos, r) for r in ech]
     return GradedBasis(graded.space, graded.nvars, out)
 
 
+def echelon_piece(basis):
+    """Monomials, coefficient rows and pivot columns of one degree piece
+    in reduced echelon form, which rref confirms without a division."""
+    monos = monomials_of_degree(basis[0].nvars, basis[0].homogeneous_degree())
+    vecs = [p.coeff_vector(monos) for p in basis]
+    ech, pivots = rref(vecs)
+    if ech != vecs:
+        raise UsageError("basis is not in reduced echelon form")
+    return monos, vecs, pivots
+
+
 def action_matrix(basis, mat):
-    """Matrix of a linear map acting on the span of `basis` (row i holds
-    the coordinates of the image of basis[i]).  Raises a diagnostic error
-    when an image leaves the span."""
+    """Matrix of a linear map on the span of `basis`, one degree piece in
+    reduced echelon form: row i holds the coordinates of the image of
+    basis[i], which are its entries at the pivot columns.  Raises a
+    diagnostic error when an image leaves the span."""
     if not basis:
         return []
-    space = basis[0].space
-    nv = basis[0].nvars
-    d = basis[0].homogeneous_degree()
-    monos = monomials_of_degree(nv, d)
+    monos, ech, pivots = echelon_piece(basis)
     mat_inverse = None
-    if space == CONTRAVARIANT:
+    if basis[0].space == CONTRAVARIANT:
         mat_inverse = mat_inv(coerce_matrix(mat))
-    span = SpanSolver([p.coeff_vector(monos) for p in basis])
     rows = []
     for p in basis:
-        coords = span.express(p.act(mat, mat_inverse).coeff_vector(monos))
+        coords = echelon_coordinates(
+            ech, pivots, p.act(mat, mat_inverse).coeff_vector(monos))
         if coords is None:
             raise VerificationError("action leaves the spanned subspace")
         rows.append(coords)
@@ -786,7 +801,4 @@ def action_matrix(basis, mat):
 def action_trace(basis, mat) -> CycloScalar:
     """Trace of the linear map of action_matrix."""
     rows = action_matrix(basis, mat)
-    trace = CycloScalar.rational(0)
-    for i in range(len(rows)):
-        trace = trace + CycloScalar.coerce(rows[i][i])
-    return trace
+    return sum((rows[i][i] for i in range(len(rows))), _ZERO)

@@ -103,11 +103,22 @@ def kernel_from_rref(ech, pivots, ncols, one=QQ_ONE):
 
 
 def kernel_basis(rows, ncols, one=QQ_ONE):
-    if not rows:
-        zero = one - one
-        return [[one if i == j else zero for j in range(ncols)] for i in range(ncols)]
     ech, piv = rref(rows)
     return kernel_from_rref(ech, piv, ncols, one)
+
+
+def echelon_coordinates(ech, pivots, vec):
+    """Coordinates of vec in the row span of a reduced echelon form: its
+    entries at the pivot columns, or None when the residual vec minus that
+    combination of rows does not vanish (vec is outside the span)."""
+    coeffs = [vec[p] for p in pivots]
+    residual = list(vec)
+    for c, row in zip(coeffs, ech):
+        if c:
+            residual = [a - c * b if b else a for a, b in zip(residual, row)]
+    if any(residual):
+        return None
+    return coeffs
 
 
 class SpanSolver:
@@ -118,33 +129,17 @@ class SpanSolver:
     when those are dependent one valid solution is returned.
     """
 
-    __slots__ = ("rows", "ech", "pivots", "transform", "ncols")
+    __slots__ = ("rows", "ech", "pivots", "transform")
 
     def __init__(self, rows):
         self.rows = [list(r) for r in rows]
         self.ech, self.pivots, self.transform = rref_with_transform(self.rows)
-        self.ncols = len(self.rows[0]) if self.rows else 0
-
-    @property
-    def rank(self) -> int:
-        return len(self.pivots)
-
-    def _coords_in_echelon(self, vec):
-        coeffs = [vec[p] for p in self.pivots]
-        residual = list(vec)
-        for i, c in enumerate(coeffs):
-            if c:
-                row = self.ech[i]
-                residual = [a - c * b if b else a for a, b in zip(residual, row)]
-        if any(residual):
-            return None
-        return coeffs
 
     def contains(self, vec) -> bool:
-        return self._coords_in_echelon(vec) is not None
+        return echelon_coordinates(self.ech, self.pivots, vec) is not None
 
     def express(self, vec):
-        coeffs = self._coords_in_echelon(vec)
+        coeffs = echelon_coordinates(self.ech, self.pivots, vec)
         if coeffs is None:
             return None
         m = len(self.rows)

@@ -51,12 +51,6 @@ def monomial_key(exps):
     return (sum(exps), exps)
 
 
-def _coerce_scalar(c) -> CycloScalar:
-    if isinstance(c, CycloScalar):
-        return c
-    return CycloScalar.coerce(c)
-
-
 class MPoly:
     __slots__ = ("space", "nvars", "terms")
 
@@ -74,7 +68,7 @@ class MPoly:
                 exps = tuple(exps)
                 if len(exps) != nvars or any(e < 0 for e in exps):
                     raise UsageError("bad exponent tuple %r" % (exps,))
-                c = _coerce_scalar(c)
+                c = CycloScalar.coerce(c)
                 if exps in clean:
                     c = clean[exps] + c
                 if c:
@@ -169,7 +163,7 @@ class MPoly:
         return self + (-other)
 
     def scale(self, c) -> "MPoly":
-        c = _coerce_scalar(c)
+        c = CycloScalar.coerce(c)
         p = MPoly.__new__(MPoly)
         p.space, p.nvars = self.space, self.nvars
         if not c:
@@ -296,7 +290,7 @@ class MPoly:
     def evaluate(self, point):
         if len(point) != self.nvars:
             raise UsageError("point has wrong dimension")
-        point = [_coerce_scalar(x) for x in point]
+        point = [CycloScalar.coerce(x) for x in point]
         total = CycloScalar.rational(0)
         for exps, c in self.terms.items():
             v = c
@@ -385,7 +379,7 @@ def coerce_matrix(g):
     """Matrix rows with every entry lifted to CycloScalar."""
     if all(isinstance(v, CycloScalar) for row in g for v in row):
         return g
-    return [[_coerce_scalar(v) for v in row] for row in g]
+    return [[CycloScalar.coerce(v) for v in row] for row in g]
 
 
 def _monomial_shape(mat):

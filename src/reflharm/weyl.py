@@ -177,12 +177,14 @@ def f_classes(cgroup: ReflectionGroup, f0):
 
 
 def count_split(datum: RootDatum, sub: SubsystemData) -> RatPoly:
-    """Polynomial in q counting the split-case stable conjugates."""
-    w = datum.group
-    cgroup = complement_group(datum, sub)
-    mats = list(sub.group.generators) + list(cgroup.elements)
-    wc = w.subgroup_from_matrices(mats, name="%s-normalizer" % datum.label)
-    fixed = fixed_point_basis(harmonic_basis(w), wc)
+    """Polynomial in q counting the split-case stable conjugates.
+
+    H(W)^{W'C} is taken in two steps, as (H(W)^{W'})^C: C normalizes W',
+    so it stabilizes the W'-fixed harmonics, and no group is closed over
+    W' and C together."""
+    fixed = fixed_point_basis(
+        fixed_point_basis(harmonic_basis(datum.group), sub.group),
+        complement_group(datum, sub))
     span = datum.npositive - sub.nprime
     coeffs = [QQ(0)] * (2 * span + 1)
     for d in sorted(fixed.degrees):

@@ -118,6 +118,15 @@ def test_factorise_bad_indices(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("name", ["cyclic:1", "gmpn:2:2:1"])
+def test_factorise_group_without_reflections(capsys, name):
+    code, _, err = run_cli(capsys, "factorise", "--catalog", name,
+                           "--subgroup-reflections", "0")
+    assert code == 1
+    assert "has no reflections" in err
+    assert "out of range" not in err
+
+
 def test_fake_degrees_b2(capsys):
     data = run_json(capsys, "fake-degrees", "--catalog", "weyl:B:2")
     assert sorted(data["degrees"]) == [1, 1, 1, 1, 2]
@@ -152,12 +161,13 @@ PRODUCTION_COMMANDS = [
 @pytest.mark.parametrize("argv", PRODUCTION_COMMANDS, ids=lambda a: a[0])
 def test_production_commands_skip_invariant_ring(capsys, monkeypatch, argv):
     """Harmonic bases and projections come from the skew product and the
-    pairing alone: no free generators, ideal or perp kernel is built."""
+    pairing alone: no free generators, ideal or perp kernel is built, and
+    fixed points come from the generators, with no group average."""
     def refuse(*args, **kwargs):
         raise AssertionError("production path built invariant-ring data")
 
     for name in ("invariant_basis", "free_generators", "ideal_component",
-                 "_harmonic_degree_perp"):
+                 "_harmonic_degree_perp", "reynolds"):
         monkeypatch.setattr(harmonics, name, refuse)
     patched = run_cli(capsys, *argv)
     monkeypatch.undo()

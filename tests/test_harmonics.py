@@ -1,7 +1,7 @@
 import pytest
 
 from reflharm import harmonics
-from reflharm.errors import DomainError, VerificationError
+from reflharm.errors import DomainError, UsageError, VerificationError
 from reflharm.groups import ReflectionGroup, catalog, registry_names
 from reflharm.harmonics import (
     GradedBasis,
@@ -16,7 +16,7 @@ from reflharm.harmonics import (
     project_to_H,
     reynolds,
 )
-from reflharm.linalg import SpanSolver
+from reflharm.linalg import SpanSolver, mat_inv, rref
 from reflharm.mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -24,6 +24,7 @@ from reflharm.mpoly import (
     diff_apply,
     monomials_of_degree,
 )
+from reflharm.rootdata import complement_group, subsystem_preset
 from reflharm.scalars import CycloScalar, RatPoly, RatSeries, qq
 
 ONE = CycloScalar.rational(1)
@@ -284,6 +285,73 @@ def test_fixed_point_basis_fixtures():
     assert top.dimension() == 1 and top.dim(0) == 1
 
 
+def _reynolds_fixed(graded, subgroup):
+    """Reference fixed space: every basis polynomial averaged over every
+    element of the subgroup, then row-reduced."""
+    out = {}
+    for d, basis in graded.degrees.items():
+        monos = monomials_of_degree(graded.nvars, d)
+        ech, _ = rref([reynolds(subgroup, p).coeff_vector(monos)
+                       for p in basis])
+        if ech:
+            out[d] = [MPoly.from_vector(graded.space, monos, r) for r in ech]
+    return GradedBasis(graded.space, graded.nvars, out)
+
+
+def _normalizer_pair(preset):
+    """(W, W'C, W', C) for a subsystem preset."""
+    sub = subsystem_preset(preset)
+    w = sub.datum.group
+    cgroup = complement_group(sub.datum, sub)
+    wc = w.subgroup_from_matrices(
+        list(sub.group.generators) + list(cgroup.elements))
+    return w, wc, sub.group, cgroup
+
+
+def _fixed_point_pairs():
+    b3 = catalog("weyl:B:3")
+    g313 = catalog("gmpn:3:1:3")
+    pairs = [
+        ("weyl:B:3", b3, b3.reflection_subgroup([0, 1])),
+        ("gmpn:3:1:3", g313, g313.reflection_subgroup([0, 1])),
+        ("cyclic:12", catalog("cyclic:12"), catalog("cyclic:4")),
+    ]
+    for preset in ("C2:long-A1A1", "C3:A1C2"):
+        w, wc, _, _ = _normalizer_pair(preset)
+        pairs.append((preset, w, wc))
+    return pairs
+
+
+@pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
+def test_fixed_point_basis_matches_reynolds_average(space):
+    for label, group, sub in _fixed_point_pairs():
+        assert sub.is_subgroup_of(group), label
+        H = harmonic_basis(group, space=space)
+        fixed = fixed_point_basis(H, sub)
+        assert fixed == _reynolds_fixed(H, sub), label
+        assert fixed.dimension() == group.order // sub.order, label
+
+
+@pytest.mark.parametrize("preset", ["C2:long-A1A1", "C3:A1C2"])
+def test_fixed_points_in_two_steps(preset):
+    w, wc, wprime, cgroup = _normalizer_pair(preset)
+    H = harmonic_basis(w)
+    assert fixed_point_basis(fixed_point_basis(H, wprime), cgroup) == \
+        fixed_point_basis(H, wc)
+
+
+def test_fixed_point_basis_rejects_non_normalizing_group():
+    b2 = catalog("weyl:B:2")
+    # order 3, integral, and it does not preserve X^2 + Y^2
+    g = [[ONE * 0, -ONE], [ONE, -ONE]]
+    rot3 = ReflectionGroup([g])
+    assert rot3.order == 3
+    assert not b2.is_normalized_by(g, mat_inv(g))
+    with pytest.raises(VerificationError,
+                       match="does not stabilize the degree-2 piece"):
+        fixed_point_basis(harmonic_basis(b2), rot3)
+
+
 def test_fixed_poincare_equals_molien_ratio():
     b2 = catalog("weyl:B:2")
     rx = [[-ONE, ONE * 0], [ONE * 0, ONE]]
@@ -305,6 +373,23 @@ def test_action_matrix():
     shear = [[ONE, ONE], [ONE * 0, ONE]]
     with pytest.raises(VerificationError):
         action_matrix(H.basis(2), shear)
+    # degree 1 is all of S_1, so the shear acts: contragrediently on
+    # S(V*), directly on S(V)
+    assert action_matrix(H.basis(1), shear) == [[ONE, -ONE], [ONE * 0, ONE]]
+    Hc = harmonic_basis(b2, space=COVARIANT)
+    assert action_matrix(Hc.basis(1), shear) == [[ONE, ONE * 0], [ONE, ONE]]
+    assert action_matrix(Hc.basis(1), swap) == mat
+
+
+@pytest.mark.parametrize("basis", [
+    [P(2, ((1, 0), 1), ((0, 1), 1)), P(2, ((1, 0), 1), ((0, 1), -1))],
+    [P(2, ((1, 0), 2))],
+    [P(2, ((0, 1), 1)), P(2, ((1, 0), 1))],
+])
+def test_action_matrix_needs_reduced_echelon_basis(basis):
+    swap = [[ONE * 0, ONE], [ONE, ONE * 0]]
+    with pytest.raises(UsageError, match="reduced echelon"):
+        action_matrix(basis, swap)
 
 
 def test_graded_basis_json_roundtrip():

@@ -1,5 +1,6 @@
-"""The import layering of the package: each module imports, at module
-level, only from modules of a strictly lower layer."""
+"""The import layering of the package: each module imports only from
+modules of a strictly lower layer, at module level and inside functions
+alike, apart from the listed exceptions."""
 
 import ast
 import pathlib
@@ -25,13 +26,19 @@ LAYER = {
 PACKAGE = pathlib.Path(reflharm.__file__).parent
 
 
+# (importer, imported) pairs allowed to point upward, each inside a
+# function only.  scalars._subfield_solver needs linalg.SpanSolver to solve
+# in a subfield basis, and linalg imports scalars at load time, so the
+# import has to wait until the first call.
+UPWARD_ALLOWED = {("scalars", "linalg")}
+
+
 def _module_imports(path):
-    """Sibling modules named by the module-level `from .x import` and
-    `from . import x` lines; imports inside functions are not module-level
-    and are skipped."""
+    """Sibling modules named by every `from .x import` and `from . import
+    x` in the module, including imports inside functions."""
     tree = ast.parse(path.read_text())
     targets = []
-    for node in tree.body:
+    for node in ast.walk(tree):
         if isinstance(node, ast.ImportFrom) and node.level == 1:
             if node.module is None:
                 targets.extend(alias.name for alias in node.names)
@@ -47,5 +54,7 @@ def test_every_module_has_a_layer():
 def test_modules_import_only_lower_layers():
     for path in sorted(PACKAGE.glob("*.py")):
         for target in _module_imports(path):
+            if (path.stem, target) in UPWARD_ALLOWED:
+                continue
             assert LAYER.get(target, LAYER[path.stem]) < LAYER[path.stem], (
                 path.stem, target)
