@@ -331,7 +331,7 @@ def character_table(group: ReflectionGroup,
 def graded_character(group: ReflectionGroup, space: GradedBasis, d: int):
     """Trace of each class representative on the degree-d component,
     as a tuple aligned with conjugacy_classes(group)."""
-    return tuple(action_trace(space.basis(d), rep)
+    return tuple(action_trace(space, d, rep)
                  for rep, _ in conjugacy_classes(group).classes)
 
 

@@ -25,7 +25,6 @@ from .groups import ReflectionGroup
 from .harmonics import (
     GradedBasis,
     by_degree,
-    echelon_piece,
     fixed_point_basis,
     harmonic_basis,
     harmonic_poincare,
@@ -74,10 +73,7 @@ def _graded_member(basis: GradedBasis, poly: MPoly) -> bool:
     if poly.nvars != basis.nvars or poly.space != basis.space:
         return False
     for d, part in by_degree(poly):
-        rows = basis.basis(d)
-        if not rows:
-            return False
-        monos, ech, pivots = echelon_piece(rows)
+        monos, ech, pivots = basis.piece(d)
         if echelon_coordinates(ech, pivots,
                                part.coeff_vector(monos)) is None:
             return False
@@ -102,6 +98,19 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
         raise UsageError("second factor is not a subgroup-fixed harmonic")
     h, _ = project_to_H(group, hprime * k)
     return h
+
+
+def _tensor_images(ctx, group, subgroup):
+    """xi_apply on every contravariant basis tensor h' (x) k, once per pair:
+    {(deg h', deg k): images, h' the outer index}, degrees ascending."""
+    if "images" not in ctx:
+        subH = harmonic_basis(subgroup)
+        fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
+        ctx["images"] = {
+            (i, j): [xi_apply(group, subgroup, hp, k)
+                     for hp in subH.basis(i) for k in fixed.basis(j)]
+            for i in sorted(subH.degrees) for j in sorted(fixed.degrees)}
+    return ctx["images"]
 
 
 class FactorisationReport:
@@ -238,8 +247,8 @@ def xi_dual_compare(group, subgroup, h: MPoly, a: MPoly):
 
 
 def equivariance_check(group, subgroup, n_mat) -> bool:
-    """Whether the factorisation map commutes with a joint normalizer of
-    the pair, tested on every basis tensor."""
+    """Whether the factorisation map commutes with a joint normalizer n of
+    the pair: xi(n.h' (x) n.k) = n.xi(h' (x) k) on every basis tensor."""
     ctx = _pair_ctx(group, subgroup)
     mat = coerce_matrix(n_mat)
     if len(mat) != group.dim or any(len(r) != group.dim for r in mat):
@@ -250,13 +259,14 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
         raise UsageError("matrix does not normalize both groups")
     subH = harmonic_basis(subgroup)
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
-    for hp in subH.all_polys():
-        hp_n = hp.act(mat, inv)
-        for k in fixed.all_polys():
-            k_n = k.act(mat, inv)
-            lhs = xi_apply(group, subgroup, hp_n, k_n)
-            rhs = xi_apply(group, subgroup, hp, k).act(mat, inv)
-            if lhs != rhs:
+    moved_h = {i: [hp.act(mat, inv) for hp in subH.basis(i)]
+               for i in subH.degrees}
+    moved_k = {j: [k.act(mat, inv) for k in fixed.basis(j)]
+               for j in fixed.degrees}
+    for (i, j), images in _tensor_images(ctx, group, subgroup).items():
+        tensors = itertools.product(moved_h[i], moved_k[j])
+        for (hp_n, k_n), image in zip(tensors, images):
+            if xi_apply(group, subgroup, hp_n, k_n) != image.act(mat, inv):
                 return False
     return True
 
@@ -287,75 +297,59 @@ def _builtin_normalizers(group, subgroup):
     return found
 
 
-def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup,
-                         normalizers=None, with_duality: bool = True
+def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup
                          ) -> FactorisationReport:
     """Run the full basis-tensor verification for one subgroup pair.
 
-    Failures land in the report, not in exceptions: rank defects clear the
-    bijective flag, a Poincare mismatch shows in the two polynomials, and
-    each equivariance or duality entry carries its own outcome.
+    The rank blocks and the equivariance checks read one evaluation of the
+    map per basis tensor.  Failures land in the report, not in exceptions:
+    rank defects clear the bijective flag, a Poincare mismatch shows in the
+    two polynomials, and each equivariance or duality entry carries its own
+    outcome.
     """
     ctx = _pair_ctx(group, subgroup)
-    subH = harmonic_basis(subgroup)
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
     bigH = harmonic_basis(group)
     dim_identity = subgroup.order * fixed.dimension() == group.order
 
     bidegree_ranks = {}
     rows_by_total = {}
-    for i in sorted(subH.degrees):
-        for j in sorted(fixed.degrees):
-            monos = monomials_of_degree(group.dim, i + j)
-            block = []
-            for hp in subH.basis(i):
-                for k in fixed.basis(j):
-                    image = xi_apply(group, subgroup, hp, k)
-                    block.append(image.coeff_vector(monos))
-            if not block:
-                continue
-            ech, _ = rref(block)
-            bidegree_ranks[(i, j)] = {"rows": len(block), "rank": len(ech)}
-            rows_by_total.setdefault(i + j, []).extend(block)
+    for (i, j), images in _tensor_images(ctx, group, subgroup).items():
+        monos = monomials_of_degree(group.dim, i + j)
+        block = [image.coeff_vector(monos) for image in images]
+        ech, _ = rref(block)
+        bidegree_ranks[(i, j)] = {"rows": len(block), "rank": len(ech)}
+        rows_by_total.setdefault(i + j, []).extend(block)
 
     graded = {}
-    bijective = True
     for n in range(bigH.max_degree + 1):
         rows = rows_by_total.get(n, [])
-        ech, _ = rref(rows) if rows else ([], [])
+        ech, _ = rref(rows)
         dim_h = bigH.dim(n)
-        full = len(rows) == dim_h == len(ech)
         graded[n] = {"dim": dim_h, "rows": len(rows), "rank": len(ech),
-                     "full": full}
-        if not full:
-            bijective = False
+                     "full": len(rows) == dim_h == len(ech)}
+    bijective = all(info["full"] for info in graded.values())
 
     poin_lhs, poin_rhs = poincare_factorisation(group, subgroup)
 
-    if normalizers is None:
-        candidates = _builtin_normalizers(group, subgroup)
-    else:
-        candidates = [("user%d" % i, coerce_matrix(m))
-                      for i, m in enumerate(normalizers)]
     equivariance = [(label, equivariance_check(group, subgroup, mat))
-                    for label, mat in candidates]
+                    for label, mat in _builtin_normalizers(group, subgroup)]
 
     dual_scalars = []
-    if with_duality:
-        subHc = harmonic_basis(subgroup, space=COVARIANT)
-        fixedc = _fixed_harmonics(ctx, group, subgroup, COVARIANT)
-        for dh in sorted(subHc.degrees):
-            for hi, h in enumerate(subHc.basis(dh)):
-                for da in sorted(fixedc.degrees):
-                    for ai, a in enumerate(fixedc.basis(da)):
-                        _, _, scal = xi_dual_compare(group, subgroup, h, a)
-                        dual_scalars.append({
-                            "h_degree": dh, "h_index": hi,
-                            "a_degree": da, "a_index": ai,
-                            "collinear": scal is not None,
-                            "scalar": scal.to_json() if scal is not None
-                            else None,
-                        })
+    subHc = harmonic_basis(subgroup, space=COVARIANT)
+    fixedc = _fixed_harmonics(ctx, group, subgroup, COVARIANT)
+    for dh in sorted(subHc.degrees):
+        for hi, h in enumerate(subHc.basis(dh)):
+            for da in sorted(fixedc.degrees):
+                for ai, a in enumerate(fixedc.basis(da)):
+                    _, _, scal = xi_dual_compare(group, subgroup, h, a)
+                    dual_scalars.append({
+                        "h_degree": dh, "h_index": hi,
+                        "a_degree": da, "a_index": ai,
+                        "collinear": scal is not None,
+                        "scalar": scal.to_json() if scal is not None
+                        else None,
+                    })
 
     return FactorisationReport(
         _group_label(group), _group_label(subgroup),

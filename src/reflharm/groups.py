@@ -234,13 +234,14 @@ class ReflectionGroup:
     # -- reflections and hyperplanes
 
     def reflections(self):
-        """Indices of the reflections (rank(g - Id) = 1), storage order."""
+        """Indices of the reflections (rank(g - Id) = 1), storage order;
+        the rank is a class function, taken once per conjugacy class."""
         if self._reflections is None:
-            refl = []
-            for i, g in enumerate(self.elements):
-                if i and rank(_minus_identity(g)) == 1:
-                    refl.append(i)
-            self._reflections = refl
+            classes = conjugacy_classes(self)
+            hits = {c for c, i in enumerate(classes.rep_indices)
+                    if rank(_minus_identity(self.elements[i])) == 1}
+            self._reflections = [i for i, c in enumerate(classes.class_of)
+                                 if c in hits]
         return self._reflections
 
     @property
@@ -335,8 +336,8 @@ class ReflectionGroup:
 
     # -- subgroups
 
-    def reflection_subgroup(self, refl_positions, cap: int = DEFAULT_CLOSURE_CAP,
-                            name: str = "") -> "ReflectionGroup":
+    def reflection_subgroup(self, refl_positions, name: str = ""
+                            ) -> "ReflectionGroup":
         """Closure of the chosen reflections (positions into reflections())."""
         refl = self.reflections()
         gens = []
@@ -346,12 +347,11 @@ class ReflectionGroup:
             gens.append(self.elements[refl[p]])
         if not gens:
             gens = [identity_matrix(self.dim, CYC_ONE)]
-        return self.subgroup_from_matrices(gens, cap=cap,
+        return self.subgroup_from_matrices(gens,
                                            name=name or (self.name + ":sub"))
 
-    def subgroup_from_matrices(self, mats, cap: int = DEFAULT_CLOSURE_CAP,
-                               name: str = "") -> "ReflectionGroup":
-        sub = ReflectionGroup(mats, cap=cap, name=name)
+    def subgroup_from_matrices(self, mats, name: str = "") -> "ReflectionGroup":
+        sub = ReflectionGroup(mats, name=name)
         for g in sub.elements:
             if not self.contains_matrix(g):
                 raise DomainError("subgroup closure escaped the ambient group")

@@ -9,9 +9,10 @@ The module computes, exactly:
   * the harmonic space H as canonical reduced-echelon graded bases, by the
     production route "derivative" (derivatives of the skew product) and the
     cross-check "perp" (joint kernel of the invariant operators);
-  * on such echelon pieces, the matrix of a linear map (coordinates are
-    the entries at the pivot columns) and the fixed points of a subgroup
-    (the common left kernel of g - Id over its generators);
+  * on the echelon pieces of a GradedBasis, each derived once, the matrix
+    of a linear map (coordinates are the entries at the pivot columns) and
+    the fixed points of a subgroup (the common left kernel of g - Id over
+    its generators);
   * the projection S_d = H_d + F_d through the Gram matrix of the pairing
     of H_d with the opposite-side H'_d, whose annihilator is F_d;
   * for the cross-checks only: the Reynolds (averaging) projection, echelon
@@ -56,13 +57,32 @@ def _opposite(space: str) -> str:
 
 
 class GradedBasis:
-    """Per-degree echelon bases of a graded subspace of polynomials."""
+    """Per-degree echelon bases of a graded subspace of polynomials.
+    piece(d) derives a piece's coefficient rows and pivot columns once, on
+    first use, and checks its reduced echelon form then."""
 
     def __init__(self, space: str, nvars: int, degrees: dict):
         self.space = space
         self.nvars = nvars
         self.degrees = {d: list(polys) for d, polys in degrees.items() if polys}
         self.max_degree = max(self.degrees, default=0)
+        self._pieces = {}
+
+    def piece(self, d: int):
+        """(monomials, coefficient rows, pivot columns) of the degree-d
+        piece, empty or not; UsageError unless it is homogeneous and in
+        reduced echelon form, which rref confirms without a division."""
+        got = self._pieces.get(d)
+        if got is None:
+            basis = self.basis(d)
+            monos = monomials_of_degree(self.nvars, d)
+            vecs = [p.coeff_vector(monos) for p in basis]
+            ech, pivots = rref(vecs)
+            if ech != vecs or any(p.homogeneous_degree() != d for p in basis):
+                raise UsageError(
+                    "degree-%d piece is not in reduced echelon form" % d)
+            got = self._pieces[d] = (monos, vecs, pivots)
+        return got
 
     def dim(self, d: int) -> int:
         return len(self.degrees.get(d, ()))
@@ -72,10 +92,6 @@ class GradedBasis:
 
     def basis(self, d: int):
         return self.degrees.get(d, [])
-
-    def all_polys(self):
-        for d in sorted(self.degrees):
-            yield from self.degrees[d]
 
     def poincare(self) -> RatPoly:
         coeffs = [0] * (self.max_degree + 1)
@@ -738,58 +754,44 @@ def project_to_H(group: ReflectionGroup, poly: MPoly):
 def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedBasis:
     """Echelon bases of the subgroup-fixed vectors inside each degree piece.
 
-    Each piece must be in reduced echelon form.  The fixed coordinates are
-    the common left kernel of A_g - Id over the subgroup's generators g,
-    A_g = action_matrix(piece, g), so no group average is taken.  A
-    generator that moves a piece out of itself raises a diagnostic error.
+    The fixed coordinates are the common left kernel of A_g - Id over the
+    subgroup's generators g, A_g = action_matrix(graded, d, g), so no group
+    average is taken.  A generator that moves a piece out of itself raises
+    a diagnostic error.
     """
     if subgroup.dim != graded.nvars:
         raise UsageError("subgroup dimension does not match the basis")
     out = {}
     for d in sorted(graded.degrees):
-        basis = graded.degrees[d]
-        k = len(basis)
+        k = graded.dim(d)
         columns = []
         for g in subgroup.generators:
             try:
-                act = action_matrix(basis, g)
+                act = action_matrix(graded, d, g)
             except VerificationError:
                 raise VerificationError(
                     "subgroup does not stabilize the degree-%d piece" % d
                 ) from None
             columns.extend([act[i][j] - _ONE if i == j else act[i][j]
                             for i in range(k)] for j in range(k))
-        monos, vecs, _ = echelon_piece(basis)
+        monos, vecs, _ = graded.piece(d)
         ech, _ = rref(mat_mul(kernel_basis(columns, k, one=_ONE), vecs))
         if ech:
             out[d] = [MPoly.from_vector(graded.space, monos, r) for r in ech]
     return GradedBasis(graded.space, graded.nvars, out)
 
 
-def echelon_piece(basis):
-    """Monomials, coefficient rows and pivot columns of one degree piece
-    in reduced echelon form, which rref confirms without a division."""
-    monos = monomials_of_degree(basis[0].nvars, basis[0].homogeneous_degree())
-    vecs = [p.coeff_vector(monos) for p in basis]
-    ech, pivots = rref(vecs)
-    if ech != vecs:
-        raise UsageError("basis is not in reduced echelon form")
-    return monos, vecs, pivots
-
-
-def action_matrix(basis, mat):
-    """Matrix of a linear map on the span of `basis`, one degree piece in
-    reduced echelon form: row i holds the coordinates of the image of
-    basis[i], which are its entries at the pivot columns.  Raises a
-    diagnostic error when an image leaves the span."""
-    if not basis:
-        return []
-    monos, ech, pivots = echelon_piece(basis)
+def action_matrix(graded: GradedBasis, d: int, mat):
+    """Matrix of a linear map on the degree-d piece of `graded`: row i
+    holds the coordinates of the image of its i-th basis polynomial, which
+    are the entries at the piece's pivot columns.  Raises a diagnostic
+    error when an image leaves the piece."""
+    monos, ech, pivots = graded.piece(d)
     mat_inverse = None
-    if basis[0].space == CONTRAVARIANT:
+    if graded.space == CONTRAVARIANT:
         mat_inverse = mat_inv(coerce_matrix(mat))
     rows = []
-    for p in basis:
+    for p in graded.basis(d):
         coords = echelon_coordinates(
             ech, pivots, p.act(mat, mat_inverse).coeff_vector(monos))
         if coords is None:
@@ -798,7 +800,7 @@ def action_matrix(basis, mat):
     return rows
 
 
-def action_trace(basis, mat) -> CycloScalar:
-    """Trace of the linear map of action_matrix."""
-    rows = action_matrix(basis, mat)
+def action_trace(graded: GradedBasis, d: int, mat) -> CycloScalar:
+    """Trace of the linear map of action_matrix on the degree-d piece."""
+    rows = action_matrix(graded, d, mat)
     return sum((rows[i][i] for i in range(len(rows))), _ZERO)

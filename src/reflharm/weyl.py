@@ -37,7 +37,7 @@ from __future__ import annotations
 from .errors import CapError, DomainError, UsageError
 from .groups import ReflectionGroup, matrix_from_json, matrix_key
 from .harmonics import action_trace, fixed_point_basis, harmonic_basis
-from .linalg import identity_matrix, mat_inv, mat_mul
+from .linalg import det, identity_matrix, mat_inv, mat_mul
 from .mpoly import coerce_matrix
 from .rootdata import RootDatum, SubsystemData, complement_group, _apply
 from .scalars import QQ, CycloScalar, RatPoly
@@ -204,6 +204,8 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
     f0 = twist.f0
     if len(f0) != w.dim or any(len(r) != w.dim for r in f0):
         raise UsageError("twisting matrix size does not match the datum")
+    if not det(f0):
+        raise UsageError("twisting matrix is singular")
     _matrix_order(f0)
     f0_inv = mat_inv(f0)
     if not w.is_normalized_by(f0, f0_inv):
@@ -227,13 +229,12 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
         if d > span:
             raise DomainError("fixed harmonics reach degree %d, above the "
                               "summation bound %d" % (d, span))
-        basis = fixed.basis(d)
         total = CycloScalar.rational(0)
         for c in cgroup.elements:
             weight = weights[matrix_key(c)]
             if not weight:
                 continue
-            trace = action_trace(basis, mat_mul(c, f0_inv))
+            trace = action_trace(fixed, d, mat_mul(c, f0_inv))
             total = total + trace * weight.conj()
         if not total.is_rational():
             raise DomainError("twisted count coefficient at degree %d is "

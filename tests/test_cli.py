@@ -236,6 +236,15 @@ def test_twist_file_errors(capsys, tmp_path):
     assert code == 1
 
 
+def test_singular_twist_is_usage_error(capsys, tmp_path):
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps({"F0": [[1, 0], [0, 0]]}))
+    code, out, err = run_cli(capsys, "count", "C2", "long-A1A1",
+                             "--twist", str(path))
+    assert code == 1 and out == ""
+    assert "twisting matrix is singular" in err
+
+
 _ID2 = [[1, 0], [0, 1]]
 
 

@@ -1,5 +1,6 @@
 import pytest
 
+from reflharm import factorisation
 from reflharm.errors import UsageError
 from reflharm.factorisation import (
     FactorisationReport,
@@ -89,12 +90,26 @@ def test_verify_factorisation_b2():
     assert "0,2" in data["bidegree_ranks"]
 
 
+def test_verify_factorisation_evaluates_each_tensor_once(monkeypatch):
+    # |G| basis tensors, |G| per normaliser candidate, |G| dual pairs
+    b2, sub = b2_pair()
+    calls = []
+    real = factorisation.project_to_H
+
+    def counting(group, poly):
+        calls.append(poly)
+        return real(group, poly)
+
+    monkeypatch.setattr(factorisation, "project_to_H", counting)
+    rep = verify_factorisation(b2, sub)
+    assert len(calls) == b2.order * (2 + len(rep.equivariance_checks))
+
+
 def test_verify_factorisation_extreme_subgroups():
     b2, _ = b2_pair()
-    rep_full = verify_factorisation(b2, b2, with_duality=False)
+    rep_full = verify_factorisation(b2, b2)
     assert rep_full.bijective and rep_full.dim_identity
-    rep_triv = verify_factorisation(b2, trivial_subgroup(b2),
-                                    with_duality=False)
+    rep_triv = verify_factorisation(b2, trivial_subgroup(b2))
     assert rep_triv.bijective and rep_triv.dim_identity
     assert rep_triv.poincare_equal
 
@@ -207,6 +222,6 @@ def test_equivariance_check():
 
 def test_report_repr_and_label():
     b2, sub = b2_pair()
-    rep = verify_factorisation(b2, sub, with_duality=False)
+    rep = verify_factorisation(b2, sub)
     assert isinstance(rep, FactorisationReport)
     assert "bijective=True" in repr(rep)

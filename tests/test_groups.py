@@ -12,7 +12,8 @@ from reflharm.groups import (
     registry_names,
     weyl_group,
 )
-from reflharm.linalg import identity_matrix, kernel_basis, mat_inv, mat_mul, mat_vec
+from reflharm.linalg import (identity_matrix, kernel_basis, mat_inv, mat_mul,
+                             mat_vec, rank)
 from reflharm.mpoly import MPoly, CONTRAVARIANT
 from reflharm.scalars import CycloScalar
 
@@ -310,6 +311,16 @@ def test_index_core_matches_matrices(name):
         assert classes.sizes[c] == len(orbit)
         covered |= orbit
     assert covered == set(range(group.order))
+
+
+@pytest.mark.parametrize("name", INDEX_CORE_GROUPS + ["cyclic:6"])
+def test_reflections_match_elementwise_rank(name):
+    # reflections() takes one rank per class; here every element gets one
+    group = _index_core_group(name)
+    want = [i for i, g in enumerate(group.elements)
+            if i and rank([[v - ONE if r == c else v for c, v in enumerate(row)]
+                           for r, row in enumerate(g)]) == 1]
+    assert group.reflections() == want
 
 
 @pytest.mark.parametrize("name", ["weyl:B:3", "weyl:G2:2", "gmpn:4:2:3",

@@ -368,17 +368,17 @@ def test_action_matrix():
     b2 = catalog("weyl:B:2")
     H = harmonic_basis(b2)
     swap = [[ONE * 0, ONE], [ONE, ONE * 0]]
-    mat = action_matrix(H.basis(1), swap)
+    mat = action_matrix(H, 1, swap)
     assert mat == [[ONE * 0, ONE], [ONE, ONE * 0]]
     shear = [[ONE, ONE], [ONE * 0, ONE]]
     with pytest.raises(VerificationError):
-        action_matrix(H.basis(2), shear)
+        action_matrix(H, 2, shear)
     # degree 1 is all of S_1, so the shear acts: contragrediently on
     # S(V*), directly on S(V)
-    assert action_matrix(H.basis(1), shear) == [[ONE, -ONE], [ONE * 0, ONE]]
+    assert action_matrix(H, 1, shear) == [[ONE, -ONE], [ONE * 0, ONE]]
     Hc = harmonic_basis(b2, space=COVARIANT)
-    assert action_matrix(Hc.basis(1), shear) == [[ONE, ONE * 0], [ONE, ONE]]
-    assert action_matrix(Hc.basis(1), swap) == mat
+    assert action_matrix(Hc, 1, shear) == [[ONE, ONE * 0], [ONE, ONE]]
+    assert action_matrix(Hc, 1, swap) == mat
 
 
 @pytest.mark.parametrize("basis", [
@@ -387,9 +387,29 @@ def test_action_matrix():
     [P(2, ((0, 1), 1)), P(2, ((1, 0), 1))],
 ])
 def test_action_matrix_needs_reduced_echelon_basis(basis):
+    # a basis read from JSON is outside input: checked on first use
+    data = {"degrees": {"1": [p.to_json() for p in basis]}}
     swap = [[ONE * 0, ONE], [ONE, ONE * 0]]
     with pytest.raises(UsageError, match="reduced echelon"):
-        action_matrix(basis, swap)
+        action_matrix(GradedBasis.from_json(data), 1, swap)
+    with pytest.raises(UsageError, match="reduced echelon"):
+        fixed_point_basis(GradedBasis.from_json(data), catalog("weyl:B:2"))
+
+
+def test_piece_echelon_form_is_derived_once(monkeypatch):
+    graded = GradedBasis.from_json(harmonic_basis(catalog("weyl:B:2")).to_json())
+    calls = []
+    real = harmonics.rref
+
+    def counting(rows):
+        calls.append(len(rows))
+        return real(rows)
+
+    monkeypatch.setattr(harmonics, "rref", counting)
+    swap = [[ONE * 0, ONE], [ONE, ONE * 0]]
+    first = action_matrix(graded, 2, swap)
+    assert action_matrix(graded, 2, swap) == first
+    assert calls == [2]
 
 
 def test_graded_basis_json_roundtrip():
