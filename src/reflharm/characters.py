@@ -207,12 +207,14 @@ def _validate_table(group, classes, rows):
     one = CycloScalar.rational(1)
     if any(v != one for v in rows[0]):
         raise VerificationError("first character row is not trivial")
+    conj_rows = [[v.conj() for v in row] for row in rows]
+    weights = [CycloScalar.rational(size) for size in sizes]
     for r in range(len(rows)):
         for s in range(r, len(rows)):
             acc = CycloScalar.rational(0)
             for j in range(k):
-                term = rows[r][j] * rows[s][j].conj()
-                acc = acc + term * CycloScalar.rational(sizes[j])
+                term = rows[r][j] * conj_rows[s][j]
+                acc = acc + term * weights[j]
             want = order if r == s else 0
             if acc != CycloScalar.rational(want):
                 raise VerificationError("row orthogonality fails at rows "
@@ -221,7 +223,7 @@ def _validate_table(group, classes, rows):
         for j in range(i, k):
             acc = CycloScalar.rational(0)
             for r in range(len(rows)):
-                acc = acc + rows[r][i] * rows[r][j].conj()
+                acc = acc + rows[r][i] * conj_rows[r][j]
             want = QQ(order, sizes[i]) if i == j else QQ(0)
             if acc != CycloScalar.rational(want):
                 raise VerificationError("column orthogonality fails at "
@@ -335,12 +337,12 @@ def graded_character(group: ReflectionGroup, space: GradedBasis, d: int):
                  for rep, _ in conjugacy_classes(group).classes)
 
 
-def _integer_inner(values, sizes, row, order):
-    """(1/|G|) sum_j size_j * values_j * conj(row_j), demanding a
-    non-negative integer result."""
+def _integer_inner(values, weighted, order):
+    """(1/|G|) sum_j values_j * weighted_j, demanding a non-negative integer
+    result; weighted_j = size_j * conj(row_j) for an irreducible row."""
     acc = CycloScalar.rational(0)
-    for v, s, c in zip(values, sizes, row):
-        acc = acc + v * c.conj() * CycloScalar.rational(s)
+    for v, w in zip(values, weighted):
+        acc = acc + v * w
     if not acc.is_rational():
         raise DomainError("inner product is not rational")
     q = acc.as_rational() / order
@@ -365,9 +367,11 @@ def fake_degrees(group: ReflectionGroup):
               for d in sorted(basis.degrees)}
     fakes = []
     for row in table.irreducibles:
+        weighted = [c.conj() * CycloScalar.rational(size)
+                    for c, size in zip(row, sizes)]
         coeffs = [0] * (basis.max_degree + 1)
         for d, values in traces.items():
-            coeffs[d] = _integer_inner(values, sizes, row, order)
+            coeffs[d] = _integer_inner(values, weighted, order)
         fakes.append(RatPoly(coeffs))
     if fakes[0] != RatPoly([1]):
         raise VerificationError("trivial character has a nontrivial fake "

@@ -213,9 +213,7 @@ class MPoly:
                 and self.terms == other.terms)
 
     def __hash__(self):
-        items = tuple((e, c.reduce().order, c.reduce().coeffs)
-                      for e, c in self.sorted_terms())
-        return hash((self.space, self.nvars, items))
+        return hash((self.space, self.nvars, tuple(self.sorted_terms())))
 
     # -- substitution and group action
 

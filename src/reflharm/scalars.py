@@ -1,15 +1,23 @@
 """Exact scalar arithmetic: rationals, cyclotomic numbers, rational polynomials
 and truncated series.
 
-Rationals are gmpy2.mpq when available (much faster in row reduction) and
-fractions.Fraction otherwise; both expose numerator/denominator and the same
-operator surface, so nothing downstream cares which one is active.
+Rationals (QQ) are gmpy2.mpq when available and fractions.Fraction
+otherwise; both expose numerator/denominator and the same operator surface,
+so nothing downstream cares which one is active.  QQ serves RatPoly,
+RatSeries and the raw-rational matrix rows of other modules.
 
 A CycloScalar is an element of Q(zeta_n) stored as its coefficient vector on
 the power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
-cyclotomic polynomial.  Binary operations promote both operands to the least
-common conductor.  Equality, hashing and serialisation go through a canonical
-form with minimal conductor, so zeta_4 * zeta_4 == -1 holds on the nose.
+cyclotomic polynomial, written as a tuple of Python ints over one positive
+common denominator in lowest terms.  Phi_n is monic with integer
+coefficients, so +, -, *, conjugation and powers run on ints alone; QQ
+appears only at the boundary (the public constructor, `coeffs`,
+`as_rational`, JSON and display), in `inv`'s extended Euclid, and in the
+solver of the conductor descent.  Binary operations promote both operands
+to the least common conductor.  Within one conductor the representation is
+canonical, so equality there is a tuple compare; hashing, ordering keys and
+serialisation go through a canonical form with minimal conductor, so
+zeta_4 * zeta_4 == -1 holds on the nose.
 """
 
 from __future__ import annotations
@@ -373,29 +381,25 @@ class RatSeries:
 
 
 @lru_cache(maxsize=None)
-def _power_table(n: int) -> tuple[tuple[QQ, ...], ...]:
-    """Coordinates of zeta_n^k, k in [0, n), on the power basis mod Phi_n."""
+def _power_table(n: int) -> tuple[tuple[int, ...], ...]:
+    """Coordinates of zeta_n^k, k in [0, n), on the power basis mod Phi_n.
+    Phi_n is monic with integer coefficients, so every row is integral."""
     phi = euler_phi(n)
-    top = cyclotomic_polynomial(n).coeffs  # monic, length phi+1
-    rows = []
-    for k in range(phi):
-        row = [QQ_ZERO] * phi
-        row[k] = QQ_ONE
-        rows.append(tuple(row))
+    top = [int(c) for c in cyclotomic_polynomial(n).coeffs]  # length phi+1
+    rows = [tuple(int(j == k) for j in range(phi)) for k in range(phi)]
     for k in range(phi, n):
         prev = rows[k - 1]
         carry = prev[phi - 1]
-        row = [QQ_ZERO] + list(prev[: phi - 1])
+        row = [0] + list(prev[: phi - 1])
         if carry:
             for j in range(phi):
-                if top[j]:
-                    row[j] -= carry * top[j]
+                row[j] -= carry * top[j]
         rows.append(tuple(row))
     return tuple(rows)
 
 
 @lru_cache(maxsize=None)
-def _embed_table(m: int, n: int) -> tuple[tuple[QQ, ...], ...]:
+def _embed_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
     """Images of the Q(zeta_m) power basis inside Q(zeta_n), for m | n."""
     if n % m:
         raise UsageError("no embedding: %d does not divide %d" % (m, n))
@@ -406,56 +410,75 @@ def _embed_table(m: int, n: int) -> tuple[tuple[QQ, ...], ...]:
 
 @lru_cache(maxsize=None)
 def _subfield_solver(m: int, n: int):
-    """Span solver for rewriting a Q(zeta_n) vector in the embedded
+    """Span solver over Q for rewriting a Q(zeta_n) vector in the embedded
     Q(zeta_m) basis."""
     from .linalg import SpanSolver  # linalg imports this module at load time
-    return SpanSolver(_embed_table(m, n))
+    return SpanSolver([[QQ(x) for x in row] for row in _embed_table(m, n)])
 
 
 class CycloScalar:
-    """An element of the cyclotomic field Q(zeta_n).
+    """An element of the cyclotomic field Q(zeta_n): integer numerators
+    `nums` on the power basis over one positive common denominator `den`,
+    with gcd(den, *nums) = 1.
 
     >>> z = CycloScalar.root_of_unity(4)
     >>> (z * z).reduce().order
     1
     >>> z * z == CycloScalar.rational(-1)
     True
+    >>> h = CycloScalar(3, ["1/2", "-1/3"])
+    >>> h.nums, h.den
+    ((3, -2), 6)
+    >>> h.coeffs == (QQ(1, 2), QQ(-1, 3))
+    True
+    >>> (h + h).nums, (h + h).den
+    ((3, -2), 3)
     """
 
-    __slots__ = ("order", "coeffs", "_canon")
+    __slots__ = ("order", "nums", "den", "_canon")
 
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise UsageError("conductor must be a positive integer")
         phi = euler_phi(order)
-        cs = tuple(qq(c) for c in coeffs)
+        cs = [qq(c) for c in coeffs]
         if len(cs) != phi:
             raise UsageError(
                 "expected %d coefficients for conductor %d, got %d"
                 % (phi, order, len(cs)))
+        den = math.lcm(*(int(c.denominator) for c in cs))
         self.order = order
-        self.coeffs = cs
+        self.nums = tuple(int(c.numerator) * (den // int(c.denominator))
+                          for c in cs)
+        self.den = den
         self._canon = None
+
+    @property
+    def coeffs(self) -> tuple:
+        """The coefficients on the power basis, as rationals."""
+        return tuple(QQ(x, self.den) for x in self.nums)
 
     # -- constructors
 
     @staticmethod
     def rational(value) -> "CycloScalar":
-        return CycloScalar(1, (qq(value),))
+        if type(value) is int:
+            return _make(1, (value,), 1)
+        v = qq(value)
+        return _make(1, (int(v.numerator),), int(v.denominator))
 
     @staticmethod
     def root_of_unity(n: int, power: int = 1) -> "CycloScalar":
         if n < 1:
             raise UsageError("conductor must be a positive integer")
-        row = _power_table(n)[power % n]
-        return CycloScalar(n, row)
+        return _make(n, _power_table(n)[power % n], 1)
 
     @staticmethod
     def coerce(value) -> "CycloScalar":
         if isinstance(value, CycloScalar):
             return value
         if is_rational_like(value) or isinstance(value, str):
-            return CycloScalar.rational(qq(value))
+            return CycloScalar.rational(value)
         raise UsageError("cannot interpret %r as a cyclotomic scalar" % (value,))
 
     # -- conductor bookkeeping
@@ -465,56 +488,58 @@ class CycloScalar:
         if n == self.order:
             return self
         table = _embed_table(self.order, n)
-        phi = euler_phi(n)
-        out = [QQ_ZERO] * phi
-        for c, row in zip(self.coeffs, table):
+        out = [0] * euler_phi(n)
+        for c, row in zip(self.nums, table):
             if c:
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycloScalar(n, out)
+                for j, v in enumerate(row):
+                    if v:
+                        out[j] += c * v
+        return _make(n, out, self.den)
 
     def _try_descend(self, m: int):
-        coords = _subfield_solver(m, self.order).express(self.coeffs)
+        coords = _subfield_solver(m, self.order).express(self.nums)
         if coords is None:
             return None
-        return CycloScalar(m, coords)
+        return CycloScalar(m, [c / self.den for c in coords])
 
     def reduce(self) -> "CycloScalar":
         """Canonical form with minimal conductor (never 2 mod 4)."""
         if self._canon is not None:
             return self._canon
-        cur = self
-        if cur.order % 4 == 2:
-            down = cur._try_descend(cur.order // 2)
-            if down is not None:
-                cur = down
-        changed = True
-        while changed and cur.order > 1:
-            changed = False
-            for p in prime_factors(cur.order):
-                m = cur.order // p
-                if m % 4 == 2:
-                    m //= 2
-                if m < 1:
-                    continue
-                down = cur._try_descend(m)
+        if not any(self.nums[1:]):
+            # rational: 1 is the first power basis vector at every conductor
+            cur = self if self.order == 1 else _make(1, self.nums[:1], self.den)
+        else:
+            cur = self
+            if cur.order % 4 == 2:
+                down = cur._try_descend(cur.order // 2)
                 if down is not None:
                     cur = down
-                    changed = True
-                    break
+            changed = True
+            while changed and cur.order > 1:
+                changed = False
+                for p in prime_factors(cur.order):
+                    m = cur.order // p
+                    if m % 4 == 2:
+                        m //= 2
+                    if m < 1:
+                        continue
+                    down = cur._try_descend(m)
+                    if down is not None:
+                        cur = down
+                        changed = True
+                        break
         cur._canon = cur
         self._canon = cur
         return cur
 
     def is_rational(self) -> bool:
-        return self.reduce().order == 1
+        return not any(self.nums[1:])
 
     def as_rational(self) -> QQ:
-        red = self.reduce()
-        if red.order != 1:
+        if any(self.nums[1:]):
             raise DomainError("scalar is not rational: %s" % (self,))
-        return red.coeffs[0]
+        return QQ(self.nums[0], self.den)
 
     # -- arithmetic
 
@@ -530,58 +555,71 @@ class CycloScalar:
             a, b = self._pair(other)
         except UsageError:
             return NotImplemented
-        return CycloScalar(a.order, [x + y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.order, [x + y for x, y in zip(a.nums, b.nums)], da)
+        return _make(a.order, [x * db + y * da for x, y in zip(a.nums, b.nums)],
+                     da * db)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return CycloScalar(self.order, [-c for c in self.coeffs])
+        return _make(self.order, [-x for x in self.nums], self.den)
 
     def __sub__(self, other):
         try:
             a, b = self._pair(other)
         except UsageError:
             return NotImplemented
-        return CycloScalar(a.order, [x - y for x, y in zip(a.coeffs, b.coeffs)])
+        da, db = a.den, b.den
+        if da == db:
+            return _make(a.order, [x - y for x, y in zip(a.nums, b.nums)], da)
+        return _make(a.order, [x * db - y * da for x, y in zip(a.nums, b.nums)],
+                     da * db)
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
         try:
-            a, b = self._pair(other)
+            other = CycloScalar.coerce(other)
         except UsageError:
             return NotImplemented
+        den = self.den * other.den
+        if other.order == 1:
+            c = other.nums[0]
+            return _make(self.order, [x * c for x in self.nums], den)
+        if self.order == 1:
+            c = self.nums[0]
+            return _make(other.order, [x * c for x in other.nums], den)
+        a, b = self._pair(other)
         n = a.order
-        if n == 1:
-            return CycloScalar(1, (a.coeffs[0] * b.coeffs[0],))
-        phi = len(a.coeffs)
-        conv = [QQ_ZERO] * (2 * phi - 1)
-        for i, x in enumerate(a.coeffs):
-            if not x:
-                continue
-            for j, y in enumerate(b.coeffs):
-                if y:
-                    conv[i + j] += x * y
-        out = list(conv[:phi])
+        phi = len(a.nums)
+        conv = [0] * (2 * phi - 1)
+        for i, x in enumerate(a.nums):
+            if x:
+                for k, y in enumerate(b.nums, i):
+                    if y:
+                        conv[k] += x * y
+        out = conv[:phi]
         table = _power_table(n)
         for k in range(phi, 2 * phi - 1):
             c = conv[k]
             if c:
-                row = table[k % n]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycloScalar(n, out)
+                for j, v in enumerate(table[k % n]):
+                    if v:
+                        out[j] += c * v
+        return _make(n, out, den)
 
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
-        if not any(self.coeffs):
+        if not any(self.nums):
             raise DomainError("cannot invert zero")
         n = self.order
         if n == 1:
-            return CycloScalar(1, (1 / self.coeffs[0],))
+            num = self.nums[0]
+            return _make(1, (self.den if num > 0 else -self.den,), abs(num))
         # extended Euclid in Q[t] against Phi_n
         r0 = list(cyclotomic_polynomial(n).coeffs)
         r1 = list(self.coeffs)
@@ -653,43 +691,49 @@ class CycloScalar:
         if n == 1:
             return self
         table = _power_table(n)
-        phi = len(self.coeffs)
-        out = [QQ_ZERO] * phi
-        for k, c in enumerate(self.coeffs):
+        out = [0] * len(self.nums)
+        for k, c in enumerate(self.nums):
             if c:
-                row = table[(n - k) % n]
-                for j in range(phi):
-                    if row[j]:
-                        out[j] += c * row[j]
-        return CycloScalar(n, out)
+                for j, v in enumerate(table[(n - k) % n]):
+                    if v:
+                        out[j] += c * v
+        return _make(n, out, self.den)
 
     # -- comparisons, hashing, ordering keys
 
     def __bool__(self):
-        return any(self.coeffs)
+        return any(self.nums)
 
     def __eq__(self, other):
-        if isinstance(other, (int, str)) or is_rational_like(other):
+        if isinstance(other, str):
             try:
                 other = CycloScalar.coerce(other)
             except UsageError:
                 return NotImplemented
+        elif is_rational_like(other):
+            # both sides are in lowest terms
+            return (self.den == other.denominator
+                    and self.nums[0] == other.numerator
+                    and not any(self.nums[1:]))
         if not isinstance(other, CycloScalar):
             return NotImplemented
-        if self.order == other.order:
-            return self.coeffs == other.coeffs
         a, b = self._pair(other)
-        return a.coeffs == b.coeffs
+        return a.nums == b.nums and a.den == b.den
 
     def __hash__(self):
         red = self.reduce()
-        return hash((red.order, red.coeffs))
+        return hash((red.order, red.nums, red.den))
 
     def sort_key(self):
-        """Total order key used only for deterministic tie-breaking."""
+        """Total order key used only for deterministic tie-breaking: the
+        minimal conductor, then each coefficient in lowest terms."""
         red = self.reduce()
-        return (red.order,) + tuple(
-            (int(c.numerator), int(c.denominator)) for c in red.coeffs)
+        den = red.den
+        key = [red.order]
+        for x in red.nums:
+            g = math.gcd(x, den)
+            key.append((x // g, den // g))
+        return tuple(key)
 
     # -- serialisation and display
 
@@ -735,6 +779,22 @@ class CycloScalar:
 
     def __repr__(self):
         return "CycloScalar(%d, %s)" % (self.order, [qq_str(c) for c in self.coeffs])
+
+
+def _make(order: int, nums, den: int) -> CycloScalar:
+    """The scalar sum(nums[k] * zeta_order^k) / den for integers nums and
+    den > 0, with their common gcd divided out.  Every arithmetic result is
+    built here, so no coefficient passes through the rational type."""
+    g = math.gcd(den, *nums)
+    if g != 1:
+        nums = [x // g for x in nums]
+        den //= g
+    s = object.__new__(CycloScalar)
+    s.order = order
+    s.nums = tuple(nums)
+    s.den = den
+    s._canon = None
+    return s
 
 
 CYC_ZERO = CycloScalar.rational(0)

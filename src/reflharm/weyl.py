@@ -206,7 +206,6 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
         raise UsageError("twisting matrix size does not match the datum")
     if not det(f0):
         raise UsageError("twisting matrix is singular")
-    _matrix_order(f0)
     f0_inv = mat_inv(f0)
     if not w.is_normalized_by(f0, f0_inv):
         raise UsageError("twisting matrix does not normalize the Weyl group")
@@ -217,6 +216,9 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
     if {_apply(f0, s) for s in simple_set} != simple_set:
         raise UsageError("twisting matrix does not stabilize the "
                          "subsystem's simple system")
+    # normalising W does not bound the order of F0 (a scalar matrix
+    # normalises every group), so the cap runs after the checks above
+    _matrix_order(f0)
 
     cbar = ReflectionGroup(list(cgroup.elements) + [f0],
                            name="%s-twisted-complement" % datum.label)

@@ -245,6 +245,17 @@ def test_singular_twist_is_usage_error(capsys, tmp_path):
     assert "twisting matrix is singular" in err
 
 
+def test_shear_twist_is_usage_error(capsys, tmp_path):
+    # an invertible F0 of infinite order that does not normalise W is bad
+    # input, not a run into the matrix-order cap
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps({"F0": [[1, 1], [0, 1]]}))
+    code, out, err = run_cli(capsys, "count", "C2", "long-A1A1",
+                             "--twist", str(path))
+    assert code == 1 and out == ""
+    assert "does not normalize the Weyl group" in err
+
+
 _ID2 = [[1, 0], [0, 1]]
 
 

@@ -1,7 +1,14 @@
+import cmath
+import doctest
+import math
 import random
+from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import reflharm.scalars
 from reflharm.errors import DomainError, UsageError
 from reflharm.scalars import (
     QQ,
@@ -303,3 +310,157 @@ def test_str_forms():
     assert str(z4) == "z4"
     assert str(-z4) == "-z4"
     assert str(CycloScalar.rational(1) + z4) == "1 + z4"
+
+
+def test_scalars_docstring_examples():
+    result = doctest.testmod(reflharm.scalars)
+    assert result.attempted > 0 and result.failed == 0
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic scalars: properties over mixed conductors
+
+CONDUCTORS = (1, 3, 4, 5, 8, 12, 24)
+_fractions = st.builds(Fraction, st.integers(-6, 6), st.integers(1, 6))
+
+
+@st.composite
+def _scalars(draw, orders=CONDUCTORS):
+    order = draw(st.sampled_from(orders))
+    phi = euler_phi(order)
+    coeffs = draw(st.lists(_fractions, min_size=phi, max_size=phi))
+    return CycloScalar(order, coeffs)
+
+
+def _ref_str(f):
+    return str(f.numerator) if f.denominator == 1 else "%d/%d" % (
+        f.numerator, f.denominator)
+
+
+def _ref_display(order, fracs):
+    """The display form, written out on per-coefficient Fractions."""
+    if order == 1:
+        return _ref_str(fracs[0])
+    parts = []
+    for k, c in enumerate(fracs):
+        if not c:
+            continue
+        zk = "z%d" % order if k == 1 else "z%d^%d" % (order, k)
+        if k == 0:
+            term = _ref_str(c)
+        elif c in (1, -1):
+            term = zk if c == 1 else "-" + zk
+        else:
+            term = "%s*%s" % (_ref_str(c), zk)
+        if parts and term.startswith("-"):
+            parts.append("- " + term[1:])
+        elif parts:
+            parts.append("+ " + term)
+        else:
+            parts.append(term)
+    return " ".join(parts) if parts else "0"
+
+
+def _complex(x):
+    """x as a complex number, summed from its rational coefficients."""
+    zeta = cmath.exp(2j * cmath.pi / x.order)
+    return sum(float(c) * zeta ** k for k, c in enumerate(x.coeffs))
+
+
+def _assert_canonical(x):
+    assert x.den > 0
+    assert math.gcd(x.den, *x.nums) == 1
+    assert len(x.nums) == euler_phi(x.order)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars(), _scalars(), _scalars())
+def test_field_axioms_mixed_conductors(a, b, c):
+    zero, one = CycloScalar.rational(0), CycloScalar.rational(1)
+    for x in (a + b, a - b, a * b, -a, a.conj()):
+        _assert_canonical(x)
+    assert a + b == b + a
+    assert a * b == b * a
+    assert (a + b) + c == a + (b + c)
+    assert (a * b) * c == a * (b * c)
+    assert a * (b + c) == a * b + a * c
+    assert a + zero == a and a * one == a
+    assert (a - b) + b == a
+    assert a - a == 0 and a + (-a) == zero
+    za, zb = _complex(a), _complex(b)
+    assert cmath.isclose(_complex(a + b), za + zb, abs_tol=1e-9)
+    assert cmath.isclose(_complex(a - b), za - zb, abs_tol=1e-9)
+    assert cmath.isclose(_complex(a * b), za * zb, abs_tol=1e-9)
+    assert cmath.isclose(_complex(a.conj()), za.conjugate(), abs_tol=1e-9)
+    assert cmath.isclose(_complex(a.reduce()), za, abs_tol=1e-9)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars())
+def test_inverse_is_two_sided(a):
+    if not a:
+        with pytest.raises(DomainError):
+            a.inv()
+        return
+    inv = a.inv()
+    _assert_canonical(inv)
+    assert a * inv == 1 and inv * a == 1
+    assert inv.inv() == a
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars(), _scalars())
+def test_conj_is_a_multiplicative_involution(a, b):
+    assert a.conj().conj() == a
+    assert (a * b).conj() == a.conj() * b.conj()
+    assert (a + b).conj() == a.conj() + b.conj()
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars(), _scalars())
+def test_reduce_is_idempotent(a, b):
+    for x in (a, a * b, a + b):
+        red = x.reduce()
+        _assert_canonical(red)
+        again = red.reduce()
+        assert (again.order, again.nums, again.den) == (
+            red.order, red.nums, red.den)
+        assert red == x
+        assert red.order <= x.order and red.order % 4 != 2
+        assert red.is_rational() == (red.order == 1)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars(), _scalars(), st.sampled_from((1, 2, 3, 6)))
+def test_eq_hash_and_sort_key_agree_across_conductors(a, b, k):
+    up = a.promote(a.order * k)
+    assert up.order == a.order * k
+    assert up == a and a == up
+    assert hash(up) == hash(a)
+    assert up.sort_key() == a.sort_key()
+    assert up.to_json() == a.to_json() and str(up) == str(a)
+    same = a == b
+    assert same == (a.sort_key() == b.sort_key())
+    if same:
+        assert hash(a) == hash(b)
+    assert (a - b == 0) == same
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scalars(), _scalars())
+def test_outputs_match_a_per_coefficient_fraction_reference(a, b):
+    order = a.order
+    fracs = [Fraction(x, a.den) for x in a.nums]
+    assert a.coeffs == tuple(fracs)
+    assert CycloScalar(order, fracs).coeffs == tuple(fracs)
+    for x in (a, a * b, a + b, a.conj()):
+        red = x.reduce()
+        ref = [Fraction(n, red.den) for n in red.nums]
+        assert red.coeffs == tuple(ref)
+        assert x.sort_key() == (red.order,) + tuple(
+            (f.numerator, f.denominator) for f in ref)
+        assert x.to_json() == {"order": red.order,
+                               "coeffs": [_ref_str(f) for f in ref]}
+        assert str(x) == _ref_display(red.order, ref)
+        if red.order == 1:
+            assert x.as_rational() == ref[0]

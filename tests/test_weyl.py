@@ -16,6 +16,7 @@ from reflharm.rootdata import (
 from reflharm.scalars import QQ, CycloScalar, RatPoly
 from reflharm.weyl import (
     TwistData,
+    _matrix_order,
     count_split,
     count_twisted,
     f_classes,
@@ -208,9 +209,13 @@ def test_twist_requires_normalizing(c2_long):
 
 def test_twist_requires_finite_order(c2_long):
     datum, sub = c2_long
-    shear = [[1, 1], [0, 1]]
+    shear = TwistData([[1, 1], [0, 1]])
+    # the order cap holds for a matrix of infinite order ...
     with pytest.raises(CapError):
-        count_twisted(datum, sub, TwistData(shear))
+        _matrix_order(shear.f0)
+    # ... but this one does not normalise W, and that is reported first
+    with pytest.raises(UsageError, match="does not normalize the Weyl group"):
+        count_twisted(datum, sub, shear)
 
 
 def test_twist_kind_validation():
