@@ -12,8 +12,11 @@ relations before being returned, so downstream consumers see validated
 data or an exception, never a silently wrong table.
 
 The graded layer (graded characters, fake degrees, induced-trivial
-multiplicities) is inner-product arithmetic over the table; the
-fake-degree identity has three independent computations that
+multiplicities) is inner-product arithmetic over the table.  Graded
+characters come from class series: S = S^G (x) H as graded G-modules, so
+sum_d tr(g | H_d) t^d = prod_i (1 - t^d_i) / det(Id - t g^-1) (Springer,
+Invent. Math. 25, 1974), and no harmonic basis is built.  The fake-degree
+identity has three independent computations that
 verify_fake_degree_formula compares.
 """
 
@@ -24,12 +27,13 @@ import weakref
 from .errors import CapError, DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, conjugacy_classes
 from .harmonics import (
-    GradedBasis,
-    action_trace,
+    class_series,
     fixed_point_basis,
     harmonic_basis,
+    harmonic_poincare,
     invariant_degrees,
     molien,
+    shape_product,
 )
 from .scalars import QQ, CycloScalar, RatPoly, prime_factors
 
@@ -330,16 +334,23 @@ def character_table(group: ReflectionGroup,
     return table
 
 
-def graded_character(group: ReflectionGroup, space: GradedBasis, d: int):
-    """Trace of each class representative on the degree-d component,
-    as a tuple aligned with conjugacy_classes(group)."""
-    return tuple(action_trace(space, d, rep)
-                 for rep, _ in conjugacy_classes(group).classes)
+def graded_character(group: ReflectionGroup):
+    """tr(g | H_d) over conjugacy_classes(group), one tuple per degree
+    d = 0..N = sum_i (d_i - 1): the class series of g^-1 times
+    prod_i (1 - t^d_i), which must vanish in degrees N+1..N+l."""
+    top = sum(d - 1 for d in invariant_degrees(group))
+    trunc = top + group.dim
+    columns = [shape_product(group, class_series(group.inverse(i), trunc))
+               for i in conjugacy_classes(group).rep_indices]
+    if any(c for col in columns for c in col[top + 1:]):
+        raise VerificationError("graded character series does not stop at "
+                                "degree %d" % top)
+    return tuple(tuple(col[d] for col in columns) for d in range(top + 1))
 
 
 def _integer_inner(values, weighted, order):
-    """(1/|G|) sum_j values_j * weighted_j, demanding a non-negative integer
-    result; weighted_j = size_j * conj(row_j) for an irreducible row."""
+    """(1/order) sum_j values_j * weighted_j, demanding a non-negative
+    integer result."""
     acc = CycloScalar.rational(0)
     for v, w in zip(values, weighted):
         acc = acc + v * w
@@ -354,25 +365,21 @@ def _integer_inner(values, weighted, order):
 
 def fake_degrees(group: ReflectionGroup):
     """Polynomial recording, per irreducible, the degrees in which it
-    occurs inside the harmonic space, with multiplicity."""
+    occurs inside the harmonic space, with multiplicity: inner products
+    with the graded characters of class series (Springer, 1974)."""
     ctx = _ctx(group)
     if "fakes" in ctx:
         return ctx["fakes"]
     table = character_table(group)
-    classes = table.classes
-    sizes = classes.sizes
+    sizes = table.classes.sizes
     order = group.order
-    basis = harmonic_basis(group)
-    traces = {d: graded_character(group, basis, d)
-              for d in sorted(basis.degrees)}
+    traces = graded_character(group)
     fakes = []
     for row in table.irreducibles:
         weighted = [c.conj() * CycloScalar.rational(size)
                     for c, size in zip(row, sizes)]
-        coeffs = [0] * (basis.max_degree + 1)
-        for d, values in traces.items():
-            coeffs[d] = _integer_inner(values, weighted, order)
-        fakes.append(RatPoly(coeffs))
+        fakes.append(RatPoly([_integer_inner(values, weighted, order)
+                              for values in traces]))
     if fakes[0] != RatPoly([1]):
         raise VerificationError("trivial character has a nontrivial fake "
                                 "degree")
@@ -382,7 +389,7 @@ def fake_degrees(group: ReflectionGroup):
         if poly(1) != deg:
             raise VerificationError("fake degree at t=1 misses the "
                                     "character degree")
-    if total != basis.poincare():
+    if total != harmonic_poincare(group):
         raise VerificationError("weighted fake degrees do not assemble "
                                 "the harmonic Poincare polynomial")
     fakes = tuple(fakes)
@@ -402,24 +409,13 @@ def induced_trivial_multiplicities(group: ReflectionGroup,
     counts = [0] * len(classes)
     for x in subgroup.elements:
         counts[classes.class_of[group.index_of(x)]] += 1
-    out = []
-    for row in table.irreducibles:
-        acc = CycloScalar.rational(0)
-        for c, v in zip(counts, row):
-            if c:
-                acc = acc + v * CycloScalar.rational(c)
-        if not acc.is_rational():
-            raise DomainError("induced multiplicity is not rational")
-        q = acc.as_rational() / subgroup.order
-        if q.denominator != 1 or q < 0:
-            raise DomainError("induced multiplicity %s is not a "
-                              "non-negative integer" % (q,))
-        out.append(int(q))
+    out = tuple(_integer_inner(row, counts, subgroup.order)
+                for row in table.irreducibles)
     index = group.order // subgroup.order
     if sum(m * d for m, d in zip(out, table.degrees)) != index:
         raise VerificationError("induced multiplicities do not add up to "
                                 "the subgroup index")
-    return tuple(out)
+    return out
 
 
 def verify_fake_degree_formula(group: ReflectionGroup,
@@ -429,22 +425,12 @@ def verify_fake_degree_formula(group: ReflectionGroup,
     Molien series quotient.  Disagreement is reported, not raised."""
     mults = induced_trivial_multiplicities(group, subgroup)
     fakes = fake_degrees(group)
-    char_sum = RatPoly()
-    for m, poly in zip(mults, fakes):
-        if m:
-            char_sum = char_sum + poly * m
+    char_sum = sum((poly * m for m, poly in zip(mults, fakes) if m),
+                   RatPoly())
+    fixed_poin = fixed_point_basis(harmonic_basis(group), subgroup).poincare()
 
-    fixed = fixed_point_basis(harmonic_basis(group), subgroup)
-    fixed_poin = fixed.poincare()
-
-    shape = RatPoly([1])
-    for d in invariant_degrees(group):
-        shape = shape * RatPoly([1] + [0] * (d - 1) + [-1])
-    trunc = shape.degree + 1
-    series = molien(subgroup, trunc)
-    quotient = RatPoly([sum(shape.coeff(i) * series.coeff(n - i)
-                            for i in range(n + 1))
-                        for n in range(trunc)])
+    series = molien(subgroup, sum(invariant_degrees(group)))
+    quotient = RatPoly(shape_product(group, series.coeffs))
 
     agree = char_sum == fixed_poin and fixed_poin == quotient
     return {

@@ -49,16 +49,14 @@ def _build_parser() -> _Parser:
                         default="json", help="output format")
     common.add_argument("--out", metavar="PATH",
                         help="write output to a file instead of stdout")
-    common.add_argument("--group-cap", type=int, default=GROUP_CAP,
-                        metavar="N", help="group closure cap")
-    common.add_argument("--max-degree", type=int, default=DEGREE_CAP,
-                        metavar="D", help="largest degree to emit")
 
     gspec = argparse.ArgumentParser(add_help=False)
     gspec.add_argument("--catalog", metavar="NAME",
                        help="catalog name such as weyl:B:2 or cyclic:6")
     gspec.add_argument("--generators", metavar="FILE",
                        help="JSON file with generator matrices")
+    gspec.add_argument("--group-cap", type=int, default=GROUP_CAP,
+                       metavar="N", help="group closure cap")
 
     parser = _Parser(prog="reflharm",
                      description="exact harmonic and counting computations "
@@ -68,8 +66,10 @@ def _build_parser() -> _Parser:
 
     sub.add_parser("group", parents=[common, gspec],
                    help="summarise a reflection group")
-    sub.add_parser("harmonics", parents=[common, gspec],
-                   help="graded harmonic basis")
+    p = sub.add_parser("harmonics", parents=[common, gspec],
+                       help="graded harmonic basis")
+    p.add_argument("--max-degree", type=int, default=DEGREE_CAP,
+                   metavar="D", help="largest degree to emit")
     p = sub.add_parser("factorise", parents=[common, gspec],
                        help="verify the harmonic tensor factorisation")
     p.add_argument("--subgroup-reflections", metavar="LIST", required=True,
@@ -98,8 +98,7 @@ def _load_json_file(path: str):
 
 
 def _resolve_group(args) -> ReflectionGroup:
-    by_catalog = getattr(args, "catalog", None)
-    by_file = getattr(args, "generators", None)
+    by_catalog, by_file = args.catalog, args.generators
     if (by_catalog is None) == (by_file is None):
         raise UsageError("give exactly one of --catalog or --generators")
     if by_catalog is not None:
@@ -284,15 +283,23 @@ _COMMANDS = {
 def _emit(text: str, out_path):
     if out_path is None:
         sys.stdout.write(text)
-    else:
+        return
+    try:
         with open(out_path, "w", encoding="utf-8") as fh:
             fh.write(text)
+    except OSError as exc:
+        raise UsageError("cannot write %s: %s" % (out_path, exc))
 
 
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
         data, lines, code = _COMMANDS[args.command](args)
+        if args.format == "json":
+            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+        else:
+            text = "\n".join(lines) + "\n"
+        _emit(text, args.out)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)
         return 1
@@ -302,11 +309,6 @@ def main(argv=None) -> int:
     except (DomainError, VerificationError) as exc:
         print("verification failure: %s" % exc, file=sys.stderr)
         return 3
-    if args.format == "json":
-        text = json.dumps(data, indent=2, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
     return code
 
 

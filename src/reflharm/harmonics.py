@@ -5,7 +5,8 @@ The module computes, exactly:
   * the Molien series, summed once per conjugacy class: each class's
     1/det(Id - t g) comes from the power traces tr(g^k) through Newton's
     identities;
-  * the invariant degrees d_1 <= ... <= d_l, peeled off the Molien series;
+  * the invariant degrees d_1 <= ... <= d_l, peeled off the Molien series,
+    and the product of a series by prod_i (1 - t^d_i);
   * the harmonic space H as canonical reduced-echelon graded bases, by the
     production route "derivative" (derivatives of the skew product) and the
     cross-check "perp" (joint kernel of the invariant operators);
@@ -155,7 +156,7 @@ def reynolds(group: ReflectionGroup, poly: MPoly) -> MPoly:
     return total.scale(CycloScalar.rational(QQ(1, group.order)))
 
 
-def _class_series(g, trunc):
+def class_series(g, trunc):
     """1/det(Id - t g) truncated, as cyclotomic coefficients.
 
     The power traces p_k = tr(g^k) give the elementary symmetric functions
@@ -197,7 +198,7 @@ def molien(group: ReflectionGroup, trunc: int) -> RatSeries:
     if best is None or best.trunc < trunc:
         total = [_ZERO] * (trunc + 1)
         for rep, size in conjugacy_classes(group).classes:
-            for k, c in enumerate(_class_series(rep, trunc)):
+            for k, c in enumerate(class_series(rep, trunc)):
                 total[k] = total[k] + c * size
         unit = QQ(1, group.order)
         coeffs = []
@@ -244,6 +245,17 @@ def harmonic_poincare(group: ReflectionGroup) -> RatPoly:
     for d in invariant_degrees(group):
         poin = poin * RatPoly([1] * d)
     return poin
+
+
+def shape_product(group: ReflectionGroup, coeffs) -> list:
+    """A series truncated at degree len(coeffs) - 1, times
+    prod_i (1 - t^d_i) over the invariant degrees, truncated alike; exact
+    on rational and on cyclotomic coefficients."""
+    out = list(coeffs)
+    for d in invariant_degrees(group):
+        for k in range(len(out) - 1, d - 1, -1):
+            out[k] = out[k] - out[k - d]
+    return out
 
 
 def _peel_degrees(series: RatSeries, ell: int, trunc: int):

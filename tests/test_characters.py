@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+from reflharm import characters
 from reflharm.characters import (
     _coordinates_mod,
     _kernel_mod,
@@ -13,9 +14,11 @@ from reflharm.characters import (
     induced_trivial_multiplicities,
     verify_fake_degree_formula,
 )
-from reflharm.errors import CapError, DomainError, UsageError
-from reflharm.groups import catalog, conjugacy_classes, weyl_group
-from reflharm.harmonics import harmonic_basis
+from reflharm.errors import (CapError, DomainError, UsageError,
+                             VerificationError)
+from reflharm.groups import (catalog, conjugacy_classes, registry_names,
+                             weyl_group)
+from reflharm.harmonics import action_trace, harmonic_basis
 from reflharm.scalars import CycloScalar, RatPoly
 
 
@@ -102,26 +105,43 @@ def test_table_json_roundtrip(b2):
 
 
 def test_graded_character_bottom_and_top(b2):
-    basis = harmonic_basis(b2)
     classes = conjugacy_classes(b2)
     one = CycloScalar.rational(1)
-    assert all(v == one for v in graded_character(b2, basis, 0))
-    top = graded_character(b2, basis, 4)
+    traces = graded_character(b2)
+    assert all(v == one for v in traces[0])
+    top = traces[4]
     for j, (rep, _) in enumerate(classes.classes):
         det = b2.determinant(b2.index_of(rep))
         assert top[j] == det
 
 
 def test_graded_character_sums_to_regular(b2):
-    basis = harmonic_basis(b2)
     classes = conjugacy_classes(b2)
     totals = [CycloScalar.rational(0)] * len(classes)
     for d in range(5):
-        for j, v in enumerate(graded_character(b2, basis, d)):
+        for j, v in enumerate(graded_character(b2)[d]):
             totals[j] = totals[j] + v
     assert totals[0] == CycloScalar.rational(8)
     zero = CycloScalar.rational(0)
     assert all(v == zero for v in totals[1:])
+
+
+def test_graded_character_checks_the_top_degree(b2, monkeypatch):
+    # too small an N leaves the top coefficients (the determinant) above it
+    monkeypatch.setattr(characters, "invariant_degrees", lambda group: [2, 2])
+    with pytest.raises(VerificationError, match="does not stop at degree 2"):
+        graded_character(b2)
+
+
+@pytest.mark.parametrize("name", registry_names(96))
+def test_graded_character_matches_basis_traces(name):
+    # the class-series route against traces on the derivative basis
+    group = catalog(name)
+    basis = harmonic_basis(group)
+    reps = [rep for rep, _ in conjugacy_classes(group).classes]
+    want = tuple(tuple(action_trace(basis, d, rep) for rep in reps)
+                 for d in range(basis.max_degree + 1))
+    assert graded_character(group) == want
 
 
 def test_fake_degrees_b2(b2):

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from reflharm import harmonics
+from reflharm import characters, harmonics
 from reflharm.characters import character_table
 from reflharm.cli import main
 from reflharm.groups import catalog, matrix_key, registry_names, weyl_group
@@ -75,6 +75,27 @@ def test_group_cap_exit(capsys):
                            "--group-cap", "10")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("count", "C2", "long-A1A1", "--max-degree", "3"),
+    ("fake-degrees", "--catalog", "weyl:B:2", "--max-degree", "1"),
+    ("count", "C2", "long-A1A1", "--group-cap", "10"),
+])
+def test_options_only_where_read(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert code == 1
+    assert out == ""
+    assert "unrecognized arguments" in err
+
+
+def test_out_unwritable(capsys, tmp_path):
+    target = tmp_path / "missing" / "x.json"
+    code, _, err = run_cli(capsys, "group", "--catalog", "cyclic:2",
+                           "--out", str(target))
+    assert code == 1
+    assert "usage error: cannot write %s" % target in err
+    assert not target.exists()
 
 
 def test_harmonics_cyclic(capsys):
@@ -169,6 +190,26 @@ def test_production_commands_skip_invariant_ring(capsys, monkeypatch, argv):
     for name in ("invariant_basis", "free_generators", "ideal_component",
                  "_harmonic_degree_perp", "reynolds"):
         monkeypatch.setattr(harmonics, name, refuse)
+    patched = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    plain = run_cli(capsys, *argv)
+    assert patched[:2] == plain[:2]
+    assert plain[0] == 0
+
+
+@pytest.mark.parametrize("name", ["gmpn:3:1:3", "weyl:D:4"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+def test_fake_degrees_build_no_harmonic_basis(capsys, monkeypatch, name, fmt):
+    """Graded characters come from class series: fake-degrees builds no
+    harmonic basis and takes no action matrix or trace."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("fake-degrees built a harmonic basis")
+
+    argv = ("fake-degrees", "--catalog", name, "--format", fmt)
+    for attr in ("harmonic_basis", "action_matrix", "action_trace"):
+        monkeypatch.setattr(harmonics, attr, refuse)
+    # the name verify_fake_degree_formula uses for its fixed-point route
+    monkeypatch.setattr(characters, "harmonic_basis", refuse)
     patched = run_cli(capsys, *argv)
     monkeypatch.undo()
     plain = run_cli(capsys, *argv)
