@@ -10,14 +10,15 @@ A CycloScalar is an element of Q(zeta_n) stored as its coefficient vector on
 the power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
 cyclotomic polynomial, written as a tuple of Python ints over one positive
 common denominator in lowest terms.  Phi_n is monic with integer
-coefficients, so +, -, *, conjugation and powers run on ints alone; QQ
-appears only at the boundary (the public constructor, `coeffs`,
-`as_rational`, JSON and display), in `inv`'s extended Euclid, and in the
-solver of the conductor descent.  Binary operations promote both operands
-to the least common conductor.  Within one conductor the representation is
-canonical, so equality there is a tuple compare; hashing, ordering keys and
+coefficients, so +, -, *, conjugation, powers and the conductor descent
+run on ints alone; QQ appears only at the boundary (the public
+constructor, `coeffs`, `as_rational`, JSON and display) and in `inv`'s
+extended Euclid.  Binary operations promote both operands to the least
+common conductor.  Within one conductor the representation is canonical,
+so equality there is a tuple compare; hashing, ordering keys and
 serialisation go through a canonical form with minimal conductor, so
-zeta_4 * zeta_4 == -1 holds on the nose.
+zeta_4 * zeta_4 == -1 holds on the nose.  The descent to it goes one prime
+at a time, testing each step by a Galois trace on the integer numerators.
 """
 
 from __future__ import annotations
@@ -409,11 +410,31 @@ def _embed_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
 
 
 @lru_cache(maxsize=None)
-def _subfield_solver(m: int, n: int):
-    """Span solver over Q for rewriting a Q(zeta_n) vector in the embedded
-    Q(zeta_m) basis."""
-    from .linalg import SpanSolver  # linalg imports this module at load time
-    return SpanSolver([[QQ(x) for x in row] for row in _embed_table(m, n)])
+def _trace_table(m: int, n: int) -> tuple[tuple[int, ...], ...]:
+    """Traces of zeta_n^k, k in [0, phi(n)), down to Q(zeta_m) for n = m*p
+    with p prime, on the Q(zeta_m) power basis.  If p | k, zeta_n^k is
+    zeta_m^(k/p) and its trace is [n:m] times that.  Otherwise, if p | m,
+    its conjugates zeta_n^k * zeta_p^(jk) over all j sum to 0; if not,
+    zeta_n^k = zeta_m^(k/p) * zeta_p^b with k/p taken mod m and p not
+    dividing b, and the conjugates sum to -zeta_m^(k/p)."""
+    p = n // m
+    d = euler_phi(n) // euler_phi(m)
+    table = _power_table(m)
+    return tuple(tuple(d * v for v in table[k // p]) if k % p == 0
+                 else (0,) * euler_phi(m) if m % p == 0
+                 else tuple(-v for v in table[k * pow(p, -1, m) % m])
+                 for k in range(euler_phi(n)))
+
+
+def _combine(coeffs, rows, size: int) -> list:
+    """sum(c * row for c, row in zip(coeffs, rows)), rows of length size."""
+    out = [0] * size
+    for c, row in zip(coeffs, rows):
+        if c:
+            for j, v in enumerate(row):
+                if v:
+                    out[j] += c * v
+    return out
 
 
 class CycloScalar:
@@ -487,23 +508,22 @@ class CycloScalar:
         """Rewrite self inside Q(zeta_n); requires order | n."""
         if n == self.order:
             return self
-        table = _embed_table(self.order, n)
-        out = [0] * euler_phi(n)
-        for c, row in zip(self.nums, table):
-            if c:
-                for j, v in enumerate(row):
-                    if v:
-                        out[j] += c * v
-        return _make(n, out, self.den)
+        return _make(n, _combine(self.nums, _embed_table(self.order, n),
+                                 euler_phi(n)), self.den)
 
-    def _try_descend(self, m: int):
-        coords = _subfield_solver(m, self.order).express(self.nums)
-        if coords is None:
-            return None
-        return CycloScalar(m, [c / self.den for c in coords])
+    def _descend(self, p: int):
+        """self inside Q(zeta_(order/p)) for a prime p | order, or None: x
+        lies in a subfield of degree d iff x is its trace divided by d."""
+        n, m = self.order, self.order // p
+        down = _make(m, _combine(self.nums, _trace_table(m, n), euler_phi(m)),
+                     self.den * (euler_phi(n) // euler_phi(m)))
+        return down if down.promote(n) == self else None
 
     def reduce(self) -> "CycloScalar":
-        """Canonical form with minimal conductor (never 2 mod 4)."""
+        """Canonical form with minimal conductor, which is never 2 mod 4
+        (Q(zeta_2m) = Q(zeta_m) for odd m).  Q(zeta_a) meets Q(zeta_b) in
+        Q(zeta_gcd(a, b)), so stepping down one prime at a time, while the
+        trace test allows, reaches it."""
         if self._canon is not None:
             return self._canon
         if not any(self.nums[1:]):
@@ -511,24 +531,12 @@ class CycloScalar:
             cur = self if self.order == 1 else _make(1, self.nums[:1], self.den)
         else:
             cur = self
-            if cur.order % 4 == 2:
-                down = cur._try_descend(cur.order // 2)
-                if down is not None:
-                    cur = down
-            changed = True
-            while changed and cur.order > 1:
-                changed = False
-                for p in prime_factors(cur.order):
-                    m = cur.order // p
-                    if m % 4 == 2:
-                        m //= 2
-                    if m < 1:
-                        continue
-                    down = cur._try_descend(m)
-                    if down is not None:
-                        cur = down
-                        changed = True
+            for p in prime_factors(self.order):
+                while cur.order % p == 0:
+                    down = cur._descend(p)
+                    if down is None:
                         break
+                    cur = down
         cur._canon = cur
         self._canon = cur
         return cur
@@ -651,20 +659,10 @@ class CycloScalar:
             s0, s1 = s1, quo_applied_s
         # r0 = gcd (a nonzero constant since Phi_n is irreducible), s0 its factor
         g = r0[0]
-        phi = euler_phi(n)
-        out = [c / g for c in s0] + [QQ_ZERO] * (phi - len(s0))
-        if len(out) > phi:
-            # reduce the Bezout factor mod Phi_n (degree can reach phi)
-            extra = out[phi:]
-            out = out[:phi]
-            table = _power_table(n)
-            for k, c in enumerate(extra, start=phi):
-                if c:
-                    row = table[k % n]
-                    for j in range(phi):
-                        if row[j]:
-                            out[j] += c * row[j]
-        return CycloScalar(n, out[:phi])
+        # reduce the Bezout factor mod Phi_n (its degree can reach phi)
+        table = _power_table(n)
+        out = _combine(s0, (table[k % n] for k in range(len(s0))), euler_phi(n))
+        return CycloScalar(n, [c / g for c in out])
 
     def __truediv__(self, other):
         other = CycloScalar.coerce(other)
@@ -691,13 +689,9 @@ class CycloScalar:
         if n == 1:
             return self
         table = _power_table(n)
-        out = [0] * len(self.nums)
-        for k, c in enumerate(self.nums):
-            if c:
-                for j, v in enumerate(table[(n - k) % n]):
-                    if v:
-                        out[j] += c * v
-        return _make(n, out, self.den)
+        phi = len(self.nums)
+        return _make(n, _combine(self.nums, (table[-k % n] for k in range(phi)),
+                                 phi), self.den)
 
     # -- comparisons, hashing, ordering keys
 

@@ -1,6 +1,6 @@
 """The import layering of the package: each module imports only from
 modules of a strictly lower layer, at module level and inside functions
-alike, apart from the listed exceptions."""
+alike."""
 
 import ast
 import pathlib
@@ -26,13 +26,6 @@ LAYER = {
 PACKAGE = pathlib.Path(reflharm.__file__).parent
 
 
-# (importer, imported) pairs allowed to point upward, each inside a
-# function only.  scalars._subfield_solver needs linalg.SpanSolver to solve
-# in a subfield basis, and linalg imports scalars at load time, so the
-# import has to wait until the first call.
-UPWARD_ALLOWED = {("scalars", "linalg")}
-
-
 def _module_imports(path):
     """Sibling modules named by every `from .x import` and `from . import
     x` in the module, including imports inside functions."""
@@ -54,7 +47,5 @@ def test_every_module_has_a_layer():
 def test_modules_import_only_lower_layers():
     for path in sorted(PACKAGE.glob("*.py")):
         for target in _module_imports(path):
-            if (path.stem, target) in UPWARD_ALLOWED:
-                continue
             assert LAYER.get(target, LAYER[path.stem]) < LAYER[path.stem], (
                 path.stem, target)

@@ -247,6 +247,46 @@ def test_reduce_avoids_conductor_two_mod_four():
     assert z18.reduce().order == 9
 
 
+def test_reduce_roots_of_unity_to_their_order():
+    # zeta_n^k is a primitive f-th root of unity, f = n / gcd(n, k), and
+    # Q(zeta_f) = Q(zeta_(f/2)) when f = 2 mod 4
+    for n in range(1, 61):
+        for k in range(n):
+            f = n // math.gcd(n, k)
+            if f % 4 == 2:
+                f //= 2
+            z = CycloScalar.root_of_unity(n, k)
+            red = z.reduce()
+            assert red.order == f, (n, k)
+            assert red == z
+
+
+def _root_sum(n, signed_powers):
+    return sum((s * CycloScalar.root_of_unity(n, k) for k, s in signed_powers),
+               CycloScalar.rational(0))
+
+
+def test_reduce_gauss_sums_back_to_their_conductor():
+    # quadratic Gauss sums: each squares to a rational, and its minimal
+    # conductor is that of the quadratic field it generates; promoting by
+    # a coprime factor makes trace rows of weight p - 1 and -1
+    roots = {
+        3: (_root_sum(3, [(0, 1), (1, 2)]), -3),                      # 1 + 2 z3
+        5: (_root_sum(5, [(1, 1), (2, -1), (3, -1), (4, 1)]), 5),
+        8: (_root_sum(8, [(1, 1), (7, 1)]), 2),                       # z8 + z8^-1
+        7: (_root_sum(7, [(1, 1), (2, 1), (3, -1), (4, 1), (5, -1), (6, -1)]),
+            -7),
+    }
+    for conductor, (root, square) in roots.items():
+        assert root * root == square
+        base = root.reduce()
+        assert base.order == conductor
+        for k in (3, 4, 5, 7):
+            red = root.promote(conductor * k).reduce()
+            assert (red.order, red.nums, red.den) == (
+                conductor, base.nums, base.den), (conductor, k)
+
+
 def test_hash_consistent_across_conductors():
     a = CycloScalar.root_of_unity(12, 3)
     b = CycloScalar.root_of_unity(4)
