@@ -187,7 +187,6 @@ def _cmd_harmonics(args):
 
 def _cmd_factorise(args):
     group = _resolve_group(args)
-    refl = group.reflections()
     picks = []
     for chunk in args.subgroup_reflections.split(","):
         chunk = chunk.strip()
@@ -200,15 +199,7 @@ def _cmd_factorise(args):
                              % (chunk,))
     if not picks:
         raise UsageError("no subgroup reflections given")
-    if not refl:
-        raise UsageError("the group has no reflections to choose from")
-    for i in picks:
-        if not 0 <= i < len(refl):
-            raise UsageError("reflection index %d out of range 0..%d"
-                             % (i, len(refl) - 1))
-    sub = group.subgroup_from_matrices(
-        [group.element(refl[i]) for i in picks],
-        name="%s-sub" % group.name)
+    sub = group.reflection_subgroup(picks, name="%s-sub" % group.name)
     report = verify_factorisation(group, sub)
     ok = (report.bijective and report.dim_identity
           and report.poincare_equal

@@ -342,8 +342,12 @@ class ReflectionGroup:
         refl = self.reflections()
         gens = []
         for p in refl_positions:
+            if not refl:
+                raise UsageError(
+                    "the group has no reflections to choose from")
             if not 0 <= p < len(refl):
-                raise UsageError("reflection index %r out of range" % (p,))
+                raise UsageError("reflection index %r out of range 0..%d"
+                                 % (p, len(refl) - 1))
             gens.append(self.elements[refl[p]])
         if not gens:
             gens = [identity_matrix(self.dim, CYC_ONE)]

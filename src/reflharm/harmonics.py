@@ -8,8 +8,10 @@ The module computes, exactly:
   * the invariant degrees d_1 <= ... <= d_l, peeled off the Molien series,
     and the product of a series by prod_i (1 - t^d_i);
   * the harmonic space H as canonical reduced-echelon graded bases, by the
-    production route "derivative" (derivatives of the skew product) and the
-    cross-check "perp" (joint kernel of the invariant operators);
+    production route "derivative" (derivatives of the skew product, top
+    down: H_N is spanned by the skew product and H_d by the first
+    derivatives of H_(d+1)) and the cross-check "perp" (joint kernel of
+    the invariant operators);
   * on the echelon pieces of a GradedBasis, each derived once, the matrix
     of a linear map (coordinates are the entries at the pivot columns) and
     the fixed points of a subgroup (the common left kernel of g - Id over
@@ -22,11 +24,13 @@ The module computes, exactly:
 
 Harmonic degrees are capped at N = deg(skew product); H vanishes above N.
 
-Internally the per-degree solvers run on raw rational vectors whenever the
-group's invariants and skew product have rational coefficients (true for
-every catalog model), falling back to cyclotomic scalars otherwise.  For
-groups of monomial matrices the solve is split into blocks indexed by the
-characters of the diagonal subgroup, which keeps the big degrees cheap.
+Internally the per-degree solvers run on raw rational vectors whenever
+their input (the invariant operators, or the basis one degree up) has
+rational coefficients (true for every catalog model), falling back to
+cyclotomic scalars otherwise.  The perp route splits its kernel solve, for
+groups of monomial matrices, into blocks indexed by the characters of the
+diagonal subgroup; the derivative route needs no split, since it
+eliminates only ell * dim H_(d+1) rows per degree.
 """
 
 from __future__ import annotations
@@ -526,12 +530,12 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
                    space: str = CONTRAVARIANT) -> GradedBasis:
     """Graded echelon basis of the harmonic space H, by degree up to N.
 
-    method "derivative" (the production basis): span of the derivatives of
-    the skew product by all opposite-side monomials; it needs no
-    invariants.  method "perp" (the independent cross-check): joint kernel
-    of the differential operators given by the free invariant generators
-    of the opposite side (equivalently, the annihilator of the
-    opposite-side ideal).  Both yield the same canonical bases; keeping the
+    method "derivative" (the production basis): span of all derivatives
+    of the skew product, built top down, each degree from the first
+    derivatives of the one above; it needs no invariants.  method "perp"
+    (the independent cross-check): joint kernel of the differential
+    operators given by the free invariant generators of the opposite side
+    (equivalently, the annihilator of the opposite-side ideal).  Both yield the same canonical bases; keeping the
     two routes separate is the point, so they share no solver code.
     """
     if method not in ("perp", "derivative"):
@@ -540,13 +544,11 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
     key = ("H", space, method)
     if key in ctx:
         return ctx[key]
-    n_top = group.skew_degree()
-    degrees = {}
-    for d in range(n_top + 1):
-        if method == "perp":
-            degrees[d] = _harmonic_degree_perp(group, d, space)
-        else:
-            degrees[d] = _harmonic_degree_derivative(group, d, space)
+    if method == "perp":
+        degrees = {d: _harmonic_degree_perp(group, d, space)
+                   for d in range(group.skew_degree() + 1)}
+    else:
+        degrees = _harmonic_degrees_derivative(group, space)
     basis = GradedBasis(space, group.dim, degrees)
     ctx[key] = basis
     return basis
@@ -628,68 +630,36 @@ def _harmonic_degree_perp(group, d, space):
     return [MPoly.from_vector(space, monos, r) for r in global_rows]
 
 
-def _harmonic_degree_derivative(group, d, space):
+def _harmonic_degrees_derivative(group, space):
+    """H_N is spanned by the skew product; H is closed under derivatives,
+    so H_d = sum_i d/dx_i H_(d+1) below N: one elimination per degree, of
+    the first derivatives of the basis one degree up."""
     nv = group.dim
     skew = group.skew_contravariant() if space == CONTRAVARIANT \
         else group.skew_covariant()
     n_top = group.skew_degree()
-    if d == n_top:
-        lead = next(c for _, c in skew.sorted_terms() if c)
-        return [skew.scale(lead.inv())]
-    monos = monomials_of_degree(nv, d)
-    skew_terms = _rational_terms(skew)
-    rational = skew_terms is not None
-    if not rational:
-        skew_terms = dict(skew.terms)
-    zero = QQ(0) if rational else _ZERO
-    mono_index = {m: i for i, m in enumerate(monos)}
-    a_monos = monomials_of_degree(nv, n_top - d)
-    a_blocks = _blocks(group, n_top - d)
-    global_rows = []
-    for ablock in a_blocks:
-        local_rows = []
-        support = set()
-        for pos in ablock:
-            img = {}
-            alpha = a_monos[pos]
-            for beta, c in skew_terms.items():
-                coef = c
-                ok = True
-                target = []
-                for b, a in zip(beta, alpha):
-                    if a > b:
-                        ok = False
-                        break
-                    f = 1
-                    for k in range(a):
-                        f *= b - k
-                    if f != 1:
-                        coef = coef * f
-                    target.append(b - a)
-                if ok:
-                    t = tuple(target)
-                    prev = img.get(t)
-                    img[t] = coef if prev is None else prev + coef
-            img = {t: v for t, v in img.items() if v}
-            if img:
-                local_rows.append(img)
-                support.update(img)
-        if not local_rows:
-            continue
-        cols = sorted(support, key=lambda t: mono_index[t])
-        cindex = {t: j for j, t in enumerate(cols)}
-        dense = [[zero] * len(cols) for _ in local_rows]
-        for r, img in enumerate(local_rows):
-            for t, v in img.items():
-                dense[r][cindex[t]] = v
-        ech, _ = rref(dense)
-        for row in ech:
-            out = [zero] * len(monos)
-            for j, v in enumerate(row):
-                out[mono_index[cols[j]]] = v
-            global_rows.append(out)
-    global_rows.sort(key=_pivot_position)
-    return [MPoly.from_vector(space, monos, r) for r in global_rows]
+    lead = next(c for _, c in skew.sorted_terms() if c)
+    levels = [[skew.scale(lead.inv())]]
+    for d in range(n_top - 1, -1, -1):
+        upper = [_rational_terms(h) for h in levels[-1]]
+        zero = QQ(0)
+        if None in upper:
+            upper = [h.terms for h in levels[-1]]
+            zero = _ZERO
+        monos = monomials_of_degree(nv, d)
+        index = {m: j for j, m in enumerate(monos)}
+        rows = []
+        for terms in upper:
+            for i in range(nv):
+                row = [zero] * len(monos)
+                for exps, c in terms.items():
+                    if exps[i]:
+                        low = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
+                        row[index[low]] = c * exps[i]
+                rows.append(row)
+        ech, _ = rref(rows)
+        levels.append([MPoly.from_vector(space, monos, r) for r in ech])
+    return dict(enumerate(reversed(levels)))
 
 
 def _pivot_position(row):

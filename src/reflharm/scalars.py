@@ -10,15 +10,16 @@ A CycloScalar is an element of Q(zeta_n) stored as its coefficient vector on
 the power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
 cyclotomic polynomial, written as a tuple of Python ints over one positive
 common denominator in lowest terms.  Phi_n is monic with integer
-coefficients, so +, -, *, conjugation, powers and the conductor descent
-run on ints alone; QQ appears only at the boundary (the public
-constructor, `coeffs`, `as_rational`, JSON and display) and in `inv`'s
-extended Euclid.  Binary operations promote both operands to the least
-common conductor.  Within one conductor the representation is canonical,
-so equality there is a tuple compare; hashing, ordering keys and
-serialisation go through a canonical form with minimal conductor, so
-zeta_4 * zeta_4 == -1 holds on the nose.  The descent to it goes one prime
-at a time, testing each step by a Galois trace on the integer numerators.
+coefficients, so +, -, *, conjugation, powers, the inverse (the product
+of the other Galois conjugates over the rational norm) and the conductor
+descent run on ints alone; QQ appears only at the boundary (the public
+constructor, `coeffs`, `as_rational`, JSON and display).  Binary
+operations promote both operands to the least common conductor.  Within
+one conductor the representation is canonical, so equality there is a
+tuple compare; hashing, ordering keys and serialisation go through a
+canonical form with minimal conductor, so zeta_4 * zeta_4 == -1 holds on
+the nose.  The descent to it goes one prime at a time, testing each step
+by a Galois trace on the integer numerators.
 """
 
 from __future__ import annotations
@@ -622,47 +623,20 @@ class CycloScalar:
     __rmul__ = __mul__
 
     def inv(self) -> "CycloScalar":
+        """1/x = prod_(sigma != 1) sigma(x) / N(x): the norm
+        N(x) = x * prod_(sigma != 1) sigma(x) is rational."""
         if not any(self.nums):
             raise DomainError("cannot invert zero")
         n = self.order
-        if n == 1:
-            num = self.nums[0]
-            return _make(1, (self.den if num > 0 else -self.den,), abs(num))
-        # extended Euclid in Q[t] against Phi_n
-        r0 = list(cyclotomic_polynomial(n).coeffs)
-        r1 = list(self.coeffs)
-        while r1 and not r1[-1]:
-            r1.pop()
-        s0, s1 = [], [QQ_ONE]  # coefficients of Bezout factor for self
-        def poly_sub_scaled(a, b, f, shift):
-            # a -= f * t^shift * b, in place semantics on a copy
-            out = list(a) + [QQ_ZERO] * max(0, len(b) + shift - len(a))
-            for i, c in enumerate(b):
-                if c:
-                    out[i + shift] -= f * c
-            while out and not out[-1]:
-                out.pop()
-            return out
-        while r1:
-            # divide r0 by r1
-            quo_applied_s = list(s0)
-            rem = list(r0)
-            lead = r1[-1]
-            while len(rem) >= len(r1) and rem:
-                shift = len(rem) - len(r1)
-                f = rem[-1] / lead
-                rem = poly_sub_scaled(rem, r1, f, shift)
-                quo_applied_s = poly_sub_scaled(quo_applied_s, s1, f, shift)
-                while rem and not rem[-1]:
-                    rem.pop()
-            r0, r1 = r1, rem
-            s0, s1 = s1, quo_applied_s
-        # r0 = gcd (a nonzero constant since Phi_n is irreducible), s0 its factor
-        g = r0[0]
-        # reduce the Bezout factor mod Phi_n (its degree can reach phi)
-        table = _power_table(n)
-        out = _combine(s0, (table[k % n] for k in range(len(s0))), euler_phi(n))
-        return CycloScalar(n, [c / g for c in out])
+        cofactor = CYC_ONE
+        for k in range(2, n):
+            if math.gcd(k, n) == 1:
+                cofactor = cofactor * self._galois(k)
+        norm = self * cofactor
+        num = norm.nums[0]
+        scale = norm.den if num > 0 else -norm.den
+        return _make(n, [x * scale for x in cofactor.nums],
+                     cofactor.den * abs(num))
 
     def __truediv__(self, other):
         other = CycloScalar.coerce(other)
@@ -683,15 +657,18 @@ class CycloScalar:
             k >>= 1
         return result
 
-    def conj(self) -> "CycloScalar":
-        """Complex conjugation, zeta |-> zeta^(-1)."""
+    def _galois(self, k: int) -> "CycloScalar":
+        """The conjugate under zeta |-> zeta^k, for k prime to the order."""
         n = self.order
-        if n == 1:
-            return self
         table = _power_table(n)
         phi = len(self.nums)
-        return _make(n, _combine(self.nums, (table[-k % n] for k in range(phi)),
-                                 phi), self.den)
+        return _make(n, _combine(self.nums, (table[j * k % n]
+                                             for j in range(phi)), phi),
+                     self.den)
+
+    def conj(self) -> "CycloScalar":
+        """Complex conjugation, zeta |-> zeta^(-1)."""
+        return self if self.order == 1 else self._galois(-1)
 
     # -- comparisons, hashing, ordering keys
 

@@ -16,7 +16,7 @@ from reflharm.harmonics import (
     project_to_H,
     reynolds,
 )
-from reflharm.linalg import SpanSolver, mat_inv, rref
+from reflharm.linalg import SpanSolver, mat_inv, mat_mul, rref
 from reflharm.mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -171,6 +171,51 @@ def test_harmonics_covariant_side():
     assert [Hc.dim(d) for d in range(5)] == [1, 2, 2, 2, 1]
     assert Hc == harmonic_basis(b2, "derivative", COVARIANT)
     assert next(iter(Hc.basis(1))).space == COVARIANT
+
+
+@pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
+def test_routes_agree_on_cyclotomic_rows(space):
+    """weyl:B:2 conjugated by diag(1, zeta_3) has a non-rational skew
+    product and non-rational invariants, so both routes eliminate
+    cyclotomic rows rather than rational ones."""
+    b2 = catalog("weyl:B:2")
+    zeta = CycloScalar.root_of_unity(3)
+    zero = ONE * 0
+    conj, conj_inv = [[ONE, zero], [zero, zeta]], [[ONE, zero], [zero, zeta.inv()]]
+    group = ReflectionGroup([mat_mul(mat_mul(conj, g), conj_inv)
+                             for g in b2.generators])
+    H = harmonic_basis(group, "derivative", space)
+    top = H.basis(H.max_degree)[0]
+    assert not all(c.is_rational() for c in top.terms.values())
+    assert not harmonics._operator_terms(group, space)[1]
+    assert H == harmonic_basis(group, "perp", space)
+    assert H.dimension() == 8
+    assert H.poincare() == harmonic_basis(b2, "derivative", space).poincare()
+
+
+def test_derivative_route_eliminates_first_derivatives_only(monkeypatch):
+    """H_d is spanned by the first derivatives of H_(d+1), written on all
+    degree-d monomials, so at most ell * dim H_(d+1) rows reach
+    elimination in degree d."""
+    group = catalog("weyl:A:4")
+    ell, n_top = group.dim, group.skew_degree()
+    degree_of = {len(monomials_of_degree(ell, d)): d for d in range(n_top + 1)}
+    widths = []
+    rows_in = {}
+
+    def recording_rref(rows):
+        widths.append(len(rows[0]))
+        d = degree_of.get(widths[-1])
+        rows_in[d] = rows_in.get(d, 0) + len(rows)
+        return rref(rows)
+
+    monkeypatch.setattr(harmonics, "rref", recording_rref)
+    H = harmonic_basis(group)
+    monkeypatch.undo()
+    assert H.dimension() == group.order
+    for d in range(n_top):
+        assert rows_in.get(d, 0) <= ell * H.dim(d + 1), d
+    assert sorted(widths) == sorted(degree_of)[:n_top]
 
 
 def test_harmonic_dimension_is_group_order():
