@@ -537,6 +537,9 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
     operators given by the free invariant generators of the opposite side
     (equivalently, the annihilator of the opposite-side ideal).  Both yield the same canonical bases; keeping the
     two routes separate is the point, so they share no solver code.
+
+    dim H = |G| holds exactly when G is generated by reflections, so any
+    other dimension raises DomainError.
     """
     if method not in ("perp", "derivative"):
         raise UsageError("method must be 'perp' or 'derivative'")
@@ -550,6 +553,10 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
     else:
         degrees = _harmonic_degrees_derivative(group, space)
     basis = GradedBasis(space, group.dim, degrees)
+    if basis.dimension() != group.order:
+        raise DomainError(
+            "harmonic space has dimension %d, not |G| = %d: the group is "
+            "not generated by reflections" % (basis.dimension(), group.order))
     ctx[key] = basis
     return basis
 

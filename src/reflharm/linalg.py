@@ -3,7 +3,10 @@
 Matrices are dense lists of rows over CycloScalar or raw rationals.  `rref`
 is the one Gauss-Jordan elimination: kernels, span membership, coordinates
 and inverses are all read off its output, on the rows themselves or on the
-rows augmented by an identity block.  `det` keeps its own forward
+rows augmented by an identity block.  Rows of rationals only are
+eliminated on integer rows, fraction-free with the content divided out,
+and normalised once at the end by their pivots; rows holding any
+CycloScalar go through the field loop.  `det` keeps its own forward
 elimination because it needs the product of the pivots, not an echelon
 form.
 
@@ -16,8 +19,10 @@ and an exact zero test; CycloScalar and the rational type both qualify.
 
 from __future__ import annotations
 
+from math import gcd, lcm
+
 from .errors import DomainError
-from .scalars import QQ_ONE, QQ_ZERO, CycloScalar
+from .scalars import QQ, QQ_ONE, QQ_ZERO, CycloScalar
 
 
 def _inv(x):
@@ -30,9 +35,13 @@ def rref(rows):
     """Canonical reduced row echelon form.
 
     Returns (echelon_rows, pivot_columns) with zero rows dropped, pivots
-    monic, and every pivot column cleared above and below.
+    monic, and every pivot column cleared above and below.  Rows of QQ
+    entries only are eliminated on integers (`_rref_rational`); any
+    CycloScalar entry sends the rows through the loop below.
     """
     mat = [list(r) for r in rows]
+    if all(isinstance(a, QQ) for row in mat for a in row):
+        return _rref_rational(mat)
     m = len(mat)
     n = len(mat[0]) if m else 0
     pivots = []
@@ -62,6 +71,63 @@ def rref(rows):
         if r == m:
             break
     return mat[:r], pivots
+
+
+def _primitive(row):
+    """The integer row divided by the gcd of its entries; None if zero."""
+    g = gcd(*row)
+    if not g:
+        return None
+    return [a // g for a in row] if g != 1 else row
+
+
+def _rref_rational(mat):
+    """rref of QQ rows, fraction-free: each row is scaled to integers, each
+    step r_i <- (p/g) r_i - (f/g) r_k with g = gcd(p, f) keeps it integral,
+    and its content is divided out.  Columns and pivots go in the same
+    order as in `rref`, zero rows are dropped as they appear, and each kept
+    row is divided by its pivot once at the end."""
+    rows = []
+    for row in mat:
+        nums = [a.numerator for a in row]
+        dens = [a.denominator for a in row]
+        den = lcm(*dens)
+        if den != 1:
+            nums = [a * (den // b) for a, b in zip(nums, dens)]
+        nums = _primitive(nums)
+        if nums is not None:
+            rows.append(nums)
+    n = len(mat[0]) if mat else 0
+    pivots = []
+    r = 0
+    for c in range(n):
+        if r == len(rows):
+            break
+        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
+        if k is None:
+            continue
+        rows[r], rows[k] = rows[k], rows[r]
+        row_r = rows[r]
+        p = row_r[c]
+        kept = []
+        for i, row_i in enumerate(rows):
+            f = row_i[c]
+            if f and i != r:
+                g = gcd(p, f)
+                pg, fg = p // g, f // g
+                row_i = _primitive([pg * a - fg * b if b else pg * a
+                                    for a, b in zip(row_i, row_r)])
+                if row_i is None:
+                    continue
+            kept.append(row_i)
+        rows = kept
+        pivots.append(c)
+        r += 1
+    ech = []
+    for row, c in zip(rows, pivots):
+        p = row[c]
+        ech.append([QQ(a, p) if a else QQ_ZERO for a in row])
+    return ech, pivots
 
 
 def rref_with_transform(rows):

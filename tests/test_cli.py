@@ -113,6 +113,22 @@ def test_harmonics_max_degree(capsys):
     assert data["poincare"] == [1, 2, 2, 2, 1]
 
 
+@pytest.mark.parametrize("generators", [
+    [[[-1, 0], [0, -1]]],
+    [[[-1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0, 0], [0, -1, 0], [0, 0, -1]]],
+], ids=["minus-identity", "reflection-and-rotation"])
+def test_harmonics_group_not_generated_by_reflections(capsys, tmp_path,
+                                                      generators):
+    """{+-Id} has no reflections and H = C (dimension 1 against order 2);
+    the second group's reflections generate a subgroup of order 2 of 4."""
+    path = tmp_path / "gens.json"
+    path.write_text(json.dumps({"generators": generators}))
+    for command in ("group", "harmonics"):
+        code, out, err = run_cli(capsys, command, "--generators", str(path))
+        assert code == 3 and out == "", command
+    assert "not generated by reflections" in err
+
+
 def test_factorise_b2(capsys):
     group = weyl_group("B", 2)
     refl = [group.element(i) for i in group.reflections()]

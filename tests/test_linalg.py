@@ -1,10 +1,16 @@
+import hashlib
+import json
+import pathlib
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from reflharm import linalg
 from reflharm.errors import DomainError
+from reflharm.groups import catalog
+from reflharm.harmonics import harmonic_basis
 from reflharm.linalg import (
     SpanSolver,
     det,
@@ -16,6 +22,7 @@ from reflharm.linalg import (
     mat_vec,
     rank,
     rref,
+    rref_with_transform,
 )
 from reflharm.scalars import QQ, CycloScalar
 
@@ -185,3 +192,81 @@ def test_span_solver_none_outside_span(data):
     inside = rank(mat + [vec]) == rank(mat)
     assert (solver.express(vec) is None) == (not inside)
     assert solver.contains(vec) == inside
+
+
+# Rational rows are eliminated on integers; the CycloScalar loop is the
+# reference they must agree with.
+
+_fractions = st.one_of(st.just(QQ(0)),
+                       st.builds(QQ, st.integers(-6, 6), st.integers(1, 12)))
+
+
+@st.composite
+def _rational_rows(draw):
+    """Shuffled QQ rows with denominators up to 12: the empty list, rows of
+    width 0, and up to 7 rows of width up to 7 (so m < n and m > n), with
+    up to 2 duplicate and 2 zero rows added."""
+    n = draw(st.integers(0, 7))
+    rows = draw(st.lists(st.lists(_fractions, min_size=n, max_size=n),
+                         max_size=7))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=2))
+    rows += [[QQ(0)] * n] * draw(st.integers(0, 2))
+    return draw(st.permutations(rows))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_rational_rows())
+@example([])
+@example([[], []])
+@example([[QQ(0), QQ(0)], [QQ(1, 2), QQ(-1, 3)], [QQ(1, 2), QQ(-1, 3)]])
+@example([[QQ(1, 12), QQ(5, 7)], [QQ(3), QQ(0)], [QQ(0), QQ(1)]])
+def test_rational_rref_matches_cyclotomic_loop(rows):
+    ech, piv = rref(rows)
+    want, want_piv = rref([[CycloScalar.rational(a) for a in row]
+                           for row in rows])
+    assert piv == want_piv
+    assert ech == [[a.as_rational() for a in row] for row in want]
+    assert all(isinstance(a, QQ) for row in ech for a in row)
+
+
+def test_rref_of_mixed_rational_and_cyclotomic_entries():
+    zeta = CycloScalar.root_of_unity(3)
+    rows = [[QQ(2), zeta, QQ(0), QQ(1, 2)],
+            [QQ(1), QQ(0), zeta * zeta, QQ(0)],
+            [QQ(3), zeta, zeta * zeta, QQ(1, 2)]]
+    want = rref([[CycloScalar.coerce(a) for a in row] for row in rows])
+    assert rref(rows) == want
+    assert want[1] == [0, 1]
+    assert want[0][0] == [1, 0, zeta * zeta, 0]
+    # the QQ identity block appended to cyclotomic rows
+    ech, piv, trans = rref_with_transform(rows)
+    assert (ech, piv) == want
+    assert mat_eq(mat_mul(trans, rows), ech)
+
+
+_REFERENCE = pathlib.Path(__file__).parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("name", ["weyl:A:4", "weyl:D:4"])
+def test_rational_derivative_route_avoids_the_cyclotomic_loop(monkeypatch,
+                                                              name):
+    """The CycloScalar loop inverts every pivot other than 1 through `_inv`;
+    with it disabled the rational derivative route must still give the perp
+    basis, whose digest the benchmark reference stores (in the layout of
+    `reflharm harmonics`)."""
+    stored = json.loads(_REFERENCE.read_text())
+    group = catalog(name)
+    group.skew_contravariant()      # reflections: ranks of CycloScalar rows
+
+    def no_inverse(x):
+        raise AssertionError("rational rows reached the CycloScalar loop")
+
+    monkeypatch.setattr(linalg, "_inv", no_inverse)
+    basis = harmonic_basis(group, "derivative")
+    text = json.dumps({"dimension": basis.dimension(),
+                       "degrees": {str(d): [p.to_json() for p in basis.basis(d)]
+                                   for d in sorted(basis.degrees)}},
+                      indent=2, sort_keys=True) + "\n"
+    ref = stored["harmonic_basis %s derivative" % name]
+    assert hashlib.sha256(text.encode()).hexdigest() == ref["sha256"]
