@@ -3,7 +3,16 @@
 A group is stored as the full list of its elements (exact CycloScalar
 matrices), found by breadth-first closure of a generating set.  Storage
 order is deterministic: identity first, then products in discovery order
-with a fixed generator order, deduplicated by canonical matrix keys.
+with a fixed generator order, deduplicated by exact keys.
+
+The closure runs on integers.  Every entry is written in one field
+Q(zeta_N), N the lcm of the minimal conductors of the generators'
+entries, so an element is the tuple of its entries' power-basis
+numerators over one common denominator in lowest terms; at fixed N that
+pair is canonical and is the element's key.  Right multiplication by a
+generator is compiled once into sparse integer dot products (from the
+regular representation of its entries), and the CycloScalar matrices
+are built once, after the closure.
 
 The closure also keeps the group's integer structure: the index of every
 element times every generator, and for each element the parent and
@@ -45,7 +54,8 @@ from typing import NamedTuple
 from .errors import CapError, DomainError, UsageError
 from .linalg import det, identity_matrix, mat_mul, rank
 from .mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix
-from .scalars import CycloScalar
+from .scalars import (CycloScalar, euler_phi, from_numerators,
+                      numerators_at, regular_representation)
 
 DEFAULT_CLOSURE_CAP = 10000
 
@@ -54,7 +64,11 @@ CYC_ZERO = CycloScalar.rational(0)
 
 
 def matrix_key(mat):
-    """Canonical hashable key; equal matrices over any conductor collide."""
+    """Canonical hashable key; equal matrices over any conductor collide.
+
+    Every entry goes through its minimal-conductor form, so this suits a
+    few matrices of unknown field; the closure keys its elements by
+    numerators at one fixed conductor instead (numerators_at)."""
     return tuple(s.sort_key() for row in mat for s in row)
 
 
@@ -99,31 +113,51 @@ class ReflectionGroup:
                 raise DomainError("generator matrix is singular")
         self.dim = dim
         self.name = name
-        ident = identity_matrix(dim, CYC_ONE)
-        elements = [ident]
-        index = {matrix_key(ident): 0}
+        n = math.lcm(*(s.reduce().order for g in gens for row in g for s in row))
+        steps = []          # (right multiplier, denominator) per generator
+        for g in gens:
+            nums, den = numerators_at([s for row in g for s in row], n)
+            steps.append((_right_multiplier(nums, dim, n), den))
+        ident = numerators_at(
+            [s for row in identity_matrix(dim, CYC_ONE) for s in row], n)
+        keys = [ident]
+        index = {ident: 0}
         right = []          # right[i][k]: index of elements[i] * gens[k]
         parent = [0]        # elements[j] = elements[parent[j]] * gens[letter[j]]
         letter = [None]
         cursor = 0
-        while cursor < len(elements):
-            base = elements[cursor]
+        while cursor < len(keys):
+            nums, den = keys[cursor]
             row = []
-            for k, g in enumerate(gens):
-                prod = mat_mul(base, g)
-                key = matrix_key(prod)
+            for k, (table, gden) in enumerate(steps):
+                # a monomial generator gives one term per slot
+                out = [nums[terms[0][0]] * terms[0][1] if len(terms) == 1
+                       else sum(nums[src] * c for src, c in terms)
+                       for terms in table]
+                d = den * gden
+                if d != 1:
+                    common = math.gcd(d, *out)
+                    if common != 1:
+                        out = [x // common for x in out]
+                        d //= common
+                key = (tuple(out), d)
                 j = index.get(key)
                 if j is None:
-                    if len(elements) >= cap:
+                    if len(keys) >= cap:
                         raise CapError(
                             "group closure exceeded cap of %d elements" % cap)
-                    j = index[key] = len(elements)
-                    elements.append(prod)
+                    j = index[key] = len(keys)
+                    keys.append(key)
                     parent.append(cursor)
                     letter.append(k)
                 row.append(j)
             right.append(row)
             cursor += 1
+        elements = []
+        for nums, den in keys:
+            flat = from_numerators(nums, den, n)
+            elements.append([flat[r * dim:(r + 1) * dim] for r in range(dim)])
+        self._conductor = n
         self.elements = elements
         self._index = index
         self._right = right
@@ -147,6 +181,7 @@ class ReflectionGroup:
         self._reflections = None
         self._hyperplanes = None
         self._plane_index = None
+        self._plane_rows = None
         self._skew = {}
         self._orders = None
         self._classes = None
@@ -167,7 +202,13 @@ class ReflectionGroup:
         return self.inverses[i]
 
     def index_of(self, mat):
-        return self._index.get(matrix_key(coerce_matrix(mat)))
+        """Index of the element equal to mat, or None if there is none
+        (including a wrong shape or an entry outside the closure's field)."""
+        mat = coerce_matrix(mat)
+        if len(mat) != self.dim or any(len(row) != self.dim for row in mat):
+            return None
+        key = numerators_at([s for row in mat for s in row], self._conductor)
+        return None if key is None else self._index.get(key)
 
     def contains_matrix(self, mat) -> bool:
         return self.index_of(mat) is not None
@@ -272,8 +313,9 @@ class ReflectionGroup:
                 buckets[key][2].append(i)
             else:
                 buckets[key] = (row, col, [i])
+        order = sorted(buckets)
         planes = []
-        for key in sorted(buckets):
+        for key in order:
             row, col, idxs = buckets[key]
             form = MPoly(CONTRAVARIANT, self.dim,
                          {tuple(1 if k == j else 0 for k in range(self.dim)): c
@@ -282,7 +324,8 @@ class ReflectionGroup:
                         {tuple(1 if k == j else 0 for k in range(self.dim)): c
                          for j, c in enumerate(col) if c})
             planes.append(Hyperplane(form, cov, len(idxs) + 1, tuple(idxs)))
-        self._plane_index = {key: k for k, key in enumerate(sorted(buckets))}
+        self._plane_index = {key: k for k, key in enumerate(order)}
+        self._plane_rows = [buckets[key][0] for key in order]
         self._hyperplanes = planes
         return planes
 
@@ -310,16 +353,18 @@ class ReflectionGroup:
         """Does element i satisfy g(skew) = det(g) * skew?
 
         Verified through the permutation action on the hyperplane forms, so
-        it is cheap enough to run over every element of every fixture.
+        it is cheap enough to run over every element of every fixture: g
+        sends the form with coefficient row c to c g^-1, since
+        (g L)(x) = L(g^-1 x).
         """
-        g = self.elements[i]
         gi = self.inverses[i]
         planes = self.hyperplanes()
         scalar = CYC_ONE
         seen = set()
-        for pl in planes:
-            image = pl.form.act(g, gi)
-            coeffs = _form_coeffs(image, self.dim)
+        for pl, row in zip(planes, self._plane_rows):
+            coeffs = [sum((c * gi[j][k] for j, c in enumerate(row)
+                           if c and gi[j][k]), CYC_ZERO)
+                      for k in range(self.dim)]
             norm = _normalise_form(coeffs)
             lead = next(c for c in coeffs if c)
             k = self._plane_index.get(tuple(s.sort_key() for s in norm))
@@ -414,15 +459,27 @@ def conjugacy_classes(group: ReflectionGroup) -> ClassData:
     return group._classes
 
 
+def _right_multiplier(nums, dim: int, n: int):
+    """Right multiplication by a dim x dim matrix, given by its numerators_at
+    vector at conductor n, as a map of numerator vectors: for each output
+    slot the (source slot, coefficient) pairs it sums.  Entry (r, j) of
+    x * g is sum_i x_ri * g_ij, each product read off the regular
+    representation of g_ij."""
+    phi = euler_phi(n)
+    reps = [regular_representation(nums[e * phi:(e + 1) * phi], n)
+            for e in range(dim * dim)]
+    cols = [[(i * phi + t, reps[i * dim + j][t][s])
+             for i in range(dim) for t in range(phi) if reps[i * dim + j][t][s]]
+            for j in range(dim) for s in range(phi)]
+    width = dim * phi
+    return tuple(tuple((r * width + src, c) for src, c in col)
+                 for r in range(dim) for col in cols)
+
+
 def _minus_identity(g):
     """g - Id, whose rank is 1 exactly on reflections."""
     return [[v - CYC_ONE if r == c else v for c, v in enumerate(row)]
             for r, row in enumerate(g)]
-
-
-def _form_coeffs(form: MPoly, dim: int):
-    units = [tuple(1 if a == b else 0 for a in range(dim)) for b in range(dim)]
-    return form.coeff_vector(units)
 
 
 def _normalise_form(coeffs):

@@ -768,5 +768,54 @@ def _make(order: int, nums, den: int) -> CycloScalar:
     return s
 
 
+# ---------------------------------------------------------------------------
+# flat integer vectors at one conductor
+
+
+def numerators_at(values, n: int):
+    """(nums, den): the scalars written inside Q(zeta_n), their power-basis
+    numerators concatenated over one positive common denominator in lowest
+    terms, which is canonical for fixed n.  A value is reduced only when
+    its order does not divide n; None if its minimal conductor does not
+    either."""
+    pad = (0,) * (euler_phi(n) - 1)
+    parts = []
+    for v in values:
+        if n % v.order:
+            v = v.reduce()
+            if n % v.order:
+                return None
+        # a rational is the first power-basis coordinate at every conductor
+        if v.order != 1:
+            v = v.promote(n)
+        parts.append((v.nums + pad if v.order == 1 else v.nums, v.den))
+    # every part is in lowest terms, so scaling each to the lcm keeps the
+    # whole vector in lowest terms
+    den = math.lcm(*(d for _, d in parts))
+    return tuple(x * (den // d) for nums, d in parts for x in nums), den
+
+
+def from_numerators(nums, den: int, n: int) -> list:
+    """The scalars of a numerators_at vector: rational ones at conductor 1,
+    the rest at n."""
+    phi = euler_phi(n)
+    out = []
+    for k in range(0, len(nums), phi):
+        chunk = nums[k:k + phi]
+        out.append(_make(n, chunk, den) if any(chunk[1:])
+                   else _make(1, chunk[:1], den))
+    return out
+
+
+def regular_representation(nums, n: int) -> tuple[tuple[int, ...], ...]:
+    """Right multiplication by x = sum(nums[u] * zeta_n^u) as an integer
+    matrix on row vectors: row t holds the numerators of zeta_n^t * x."""
+    table = _power_table(n)
+    phi = len(nums)
+    return tuple(tuple(_combine(nums, (table[(u + t) % n] for u in range(phi)),
+                                phi))
+                 for t in range(phi))
+
+
 CYC_ZERO = CycloScalar.rational(0)
 CYC_ONE = CycloScalar.rational(1)

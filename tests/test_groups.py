@@ -2,19 +2,21 @@ import itertools
 
 import pytest
 
+from reflharm import groups
 from reflharm.errors import CapError, DomainError, UsageError
 from reflharm.groups import (
     ReflectionGroup,
     catalog,
     conjugacy_classes,
     matrix_from_json,
+    matrix_key,
     matrix_to_json,
     registry_names,
     weyl_group,
 )
 from reflharm.linalg import (identity_matrix, kernel_basis, mat_inv, mat_mul,
                              mat_vec, rank)
-from reflharm.mpoly import MPoly, CONTRAVARIANT
+from reflharm.mpoly import MPoly, CONTRAVARIANT, coerce_matrix
 from reflharm.scalars import CycloScalar
 
 ONE = CycloScalar.rational(1)
@@ -335,3 +337,89 @@ def test_hyperplane_order_is_pointwise_stabiliser(name):
         fixing = sum(1 for g in group.elements
                      if all(mat_vec(g, v) == v for v in basis))
         assert pl.order == fixing, pl
+
+
+# -- the closure against a plain matrix BFS, and its key
+
+def _reference_closure(gens):
+    """Breadth-first closure by CycloScalar matrix products, deduplicated by
+    matrix_key: (elements, right, parent, letter) in discovery order."""
+    ident = identity_matrix(len(gens[0]), ONE)
+    elements, index = [ident], {matrix_key(ident): 0}
+    right, parent, letter = [], [0], [None]
+    for cursor, base in enumerate(elements):
+        row = []
+        for k, g in enumerate(gens):
+            prod = mat_mul(base, g)
+            j = index.setdefault(matrix_key(prod), len(elements))
+            if j == len(elements):
+                elements.append(prod)
+                parent.append(cursor)
+                letter.append(k)
+            row.append(j)
+        right.append(row)
+    return elements, right, parent, letter
+
+
+@pytest.mark.parametrize("name", registry_names())
+def test_closure_matches_reference_bfs(name):
+    # the discovery order fixes every echelon basis and character table
+    group = catalog(name)
+    elements, right, parent, letter = _reference_closure(group.generators)
+    assert group._right == right
+    assert group._parent == parent
+    assert group._letter == letter
+    assert ([matrix_key(g) for g in group.elements]
+            == [matrix_key(g) for g in elements])
+
+
+@pytest.mark.parametrize("name", ["gmpn:6:2:3", "weyl:D:4"])
+def test_closure_makes_no_matrix_products(monkeypatch, name):
+    """The closure multiplies integer numerator vectors, not CycloScalar
+    matrices."""
+    calls = []
+    real = groups.mat_mul
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groups, "mat_mul", counting)
+    assert catalog(name).order
+    assert len(calls) == 0
+
+
+def test_index_of_finds_entries_at_non_minimal_conductors():
+    b2 = catalog("weyl:B:2")
+    zero, one = ONE * 0, ONE
+    minus_one = CycloScalar.root_of_unity(4, 2)  # zeta_4^2 = -1
+    i = b2.index_of([[minus_one, zero.promote(12)], [zero, one.promote(12)]])
+    assert i is not None
+    assert b2.element(i) == [[-one, zero], [zero, one]]
+    g = catalog("gmpn:3:1:2")
+    for i, el in enumerate(g.elements):
+        assert g.index_of([[s.promote(12) for s in row] for row in el]) == i
+
+
+def test_index_of_rejects_foreign_fields_and_shapes():
+    g = catalog("gmpn:3:1:2")
+    z5 = CycloScalar.root_of_unity(5)
+    assert g.index_of([[z5, 0], [0, 1]]) is None
+    assert not g.contains_matrix([[z5, 0], [0, 1]])
+    assert g.index_of(identity_matrix(3, ONE)) is None
+    assert g.index_of([[1, 0], [0]]) is None
+    assert g.index_of([[1]]) is None
+
+
+def test_rationally_conjugated_closure_keeps_the_index_core():
+    # entries with denominators exercise the common-denominator key
+    base = catalog("gmpn:3:1:2")
+    conj = coerce_matrix([[1, 1], [0, 2]])
+    conj_inv = mat_inv(conj)
+    group = ReflectionGroup([mat_mul(mat_mul(conj, g), conj_inv)
+                             for g in base.generators])
+    assert any(s.den != 1 for g in group.elements for row in g for s in row)
+    assert group.order == base.order
+    assert group._right == base._right
+    for i, g in enumerate(base.elements):
+        assert group.index_of(mat_mul(mat_mul(conj, g), conj_inv)) == i

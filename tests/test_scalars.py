@@ -18,8 +18,11 @@ from reflharm.scalars import (
     cyclotomic_polynomial,
     divisors,
     euler_phi,
+    from_numerators,
+    numerators_at,
     qq,
     qq_str,
+    regular_representation,
 )
 
 
@@ -228,6 +231,30 @@ def test_promotion_commutes_with_arithmetic():
         p = a * b
         if b:
             assert p / b == a
+
+
+def test_flat_numerators_round_trip_and_multiply():
+    rng = random.Random(17)
+    for _ in range(20):
+        # orders 1, 4, 3 and 12 all divide 12; the minimal conductor of
+        # zeta_24^2 is 12, though its order is 24
+        values = [rand_scalar(rng, k) for k in (1, 4, 3, 12)]
+        values.append(CycloScalar.root_of_unity(24, 2))
+        nums, den = numerators_at(values, 12)
+        assert math.gcd(den, *nums) == 1
+        back = from_numerators(nums, den, 12)
+        assert back == values
+        assert ([v.order for v in back]
+                == [1 if v.is_rational() else 12 for v in values])
+        x, y = values[2], values[1]
+        xn, xd = numerators_at([x], 12)
+        yn, yd = numerators_at([y], 12)
+        rows = regular_representation(xn, 12)
+        prod = [sum(a * row[s] for a, row in zip(yn, rows))
+                for s in range(euler_phi(12))]
+        assert from_numerators(prod, xd * yd, 12) == [y * x]
+    assert numerators_at([CycloScalar.root_of_unity(5)], 12) is None
+    assert numerators_at([CycloScalar.root_of_unity(8)], 12) is None
 
 
 def test_reduce_finds_minimal_conductor():
