@@ -36,7 +36,7 @@ The two skew products are
 The group-level queries that other layers share live here, once each:
 conjugacy classes (conjugacy_classes, cached on the group), the
 normaliser test (is_normalized_by, on generators) and subgroup closure
-checked against the ambient group (subgroup_from_matrices).
+of generators checked against the ambient group (subgroup_from_matrices).
 
 The catalog covers cyclic groups, the imprimitive family G(m,p,n) and the
 crystallographic Weyl types.  Documented models: cyclic(e) is [[zeta_e]];
@@ -263,7 +263,7 @@ class ReflectionGroup:
     def is_subgroup_of(self, other: "ReflectionGroup") -> bool:
         if self.dim != other.dim or other.order % self.order:
             return False
-        return all(other.contains_matrix(g) for g in self.elements)
+        return all(other.contains_matrix(g) for g in self.generators)
 
     def is_normalized_by(self, mat, mat_inverse) -> bool:
         """Whether mat G mat^-1 = G.  Checking the generators suffices:
@@ -400,11 +400,13 @@ class ReflectionGroup:
                                            name=name or (self.name + ":sub"))
 
     def subgroup_from_matrices(self, mats, name: str = "") -> "ReflectionGroup":
-        sub = ReflectionGroup(mats, name=name)
-        for g in sub.elements:
+        """Closure of mats, each checked first to lie in this group, so the
+        closure does too."""
+        for g in mats:
             if not self.contains_matrix(g):
-                raise DomainError("subgroup closure escaped the ambient group")
-        return sub
+                raise DomainError("subgroup generator lies outside the "
+                                  "ambient group")
+        return ReflectionGroup(mats, name=name)
 
     def __repr__(self):
         return "ReflectionGroup(%s, order=%d, dim=%d)" % (

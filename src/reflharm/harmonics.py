@@ -27,10 +27,14 @@ Harmonic degrees are capped at N = deg(skew product); H vanishes above N.
 Internally the per-degree solvers run on raw rational vectors whenever
 their input (the invariant operators, or the basis one degree up) has
 rational coefficients (true for every catalog model), falling back to
-cyclotomic scalars otherwise.  The perp route splits its kernel solve, for
-groups of monomial matrices, into blocks indexed by the characters of the
-diagonal subgroup; the derivative route needs no split, since it
-eliminates only ell * dim H_(d+1) rows per degree.
+cyclotomic scalars otherwise.  The perp route takes H_d as one joint
+kernel per block of degree-d monomials: the images of the block under
+every invariant operator of degree <= d, stacked into one matrix.  For
+groups of monomial matrices the blocks are indexed by the characters of
+the diagonal subgroup (an invariant operator keeps the character, so the
+blocks do not interact); otherwise all monomials form one block.  The
+derivative route needs no split, since it eliminates only
+ell * dim H_(d+1) rows per degree.
 """
 
 from __future__ import annotations
@@ -508,20 +512,6 @@ def _blocks(group: ReflectionGroup, degree: int):
     return [tuple(buckets[sig]) for sig in order]
 
 
-def _local_rref_to_global(vectors, block, ncols, zero):
-    """Row-reduce block-local vectors and inflate them to global width."""
-    if not vectors:
-        return []
-    ech, _ = rref(vectors)
-    out = []
-    for r in ech:
-        row = [zero] * ncols
-        for pos, val in zip(block, r):
-            row[pos] = val
-        out.append(row)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # harmonic bases
 
@@ -535,8 +525,10 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
     derivatives of the one above; it needs no invariants.  method "perp"
     (the independent cross-check): joint kernel of the differential
     operators given by the free invariant generators of the opposite side
-    (equivalently, the annihilator of the opposite-side ideal).  Both yield the same canonical bases; keeping the
-    two routes separate is the point, so they share no solver code.
+    (equivalently, the annihilator of the opposite-side ideal), one
+    elimination of all their images per diagonal-character block.  Both
+    yield the same canonical bases; keeping the two routes separate is the
+    point, so they share no solver code beyond rref and kernel_basis.
 
     dim H = |G| holds exactly when G is generated by reflections, so any
     other dimension raises DomainError.
@@ -562,77 +554,41 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
 
 
 def _operator_terms(group, space):
-    """Free generators of the side opposite to `space`, as term dicts;
-    rational dicts when every generator is rational."""
+    """Free generators of the side opposite to `space`, as (degree, term
+    dict) pairs; rational dicts when every generator is rational."""
     gens = free_generators(group, _opposite(space))
-    gens = sorted(gens, key=lambda p: p.homogeneous_degree())
-    rational = True
-    terms = []
-    for g in gens:
-        rt = _rational_terms(g)
-        if rt is None:
-            rational = False
-            break
-        terms.append((g.homogeneous_degree(), rt))
+    terms = [_rational_terms(g) for g in gens]
+    rational = None not in terms
     if not rational:
-        terms = [(g.homogeneous_degree(), dict(g.terms)) for g in gens]
-    return terms, rational
+        terms = [dict(g.terms) for g in gens]
+    return [(g.homogeneous_degree(), t) for g, t in zip(gens, terms)], rational
 
 
 def _harmonic_degree_perp(group, d, space):
-    nv = group.dim
-    if d == 0:
-        return [MPoly.constant(space, nv, 1)]
-    monos = monomials_of_degree(nv, d)
+    """H_d as the joint kernel of the operators of degree <= d, one
+    elimination per diagonal-character block: each operator adds one row
+    per target monomial of its images of the block's monomials."""
+    monos = monomials_of_degree(group.dim, d)
     ops, rational = _operator_terms(group, space)
-    ops = [(deg, t) for deg, t in ops if deg <= d]
     zero = QQ(0) if rational else _ZERO
     one = QQ(1) if rational else _ONE
     global_rows = []
     for block in _blocks(group, d):
-        # vectors: columns of the current solution basis, block-local
-        vectors = None
-        ncur = len(block)
-        for op_deg, op in ops:
-            images = [_diff_image(op, monos[c]) for c in block]
-            if vectors is not None:
-                combined = []
-                for vec in vectors:
-                    acc = {}
-                    for j, coeff in enumerate(vec):
-                        if not coeff:
-                            continue
-                        for t, val in images[j].items():
-                            prev = acc.get(t)
-                            nxt = (coeff * val) if prev is None \
-                                else prev + coeff * val
-                            acc[t] = nxt
-                    combined.append({t: v for t, v in acc.items() if v})
-            else:
-                combined = images
-            targets = sorted({t for img in combined for t in img})
-            if not targets:
+        rows = []
+        for deg, op in ops:
+            if deg > d:
                 continue
-            tindex = {t: r for r, t in enumerate(targets)}
-            rows = [[zero] * len(combined) for _ in targets]
-            for j, img in enumerate(combined):
-                for t, val in img.items():
-                    rows[tindex[t]][j] = val
-            ker = kernel_basis(rows, len(combined), one=one)
-            if vectors is None:
-                vectors = ker
-            else:
-                vectors = [
-                    [sum((kv * vectors[j][c] for j, kv in enumerate(k) if kv),
-                         zero) for c in range(ncur)]
-                    for k in ker]
-            if not vectors:
-                break
-        if vectors is None:
-            vectors = [[one if c == j else zero for c in range(ncur)]
-                       for j in range(ncur)]
-        global_rows.extend(
-            _local_rref_to_global(vectors, block, len(monos), zero))
+            by_target = {}
+            for j, c in enumerate(block):
+                for t, val in _diff_image(op, monos[c]).items():
+                    by_target.setdefault(t, [zero] * len(block))[j] = val
+            rows.extend(by_target.values())
+        ech, _ = rref(kernel_basis(rows, len(block), one=one))
+        for r in ech:
+            row = [zero] * len(monos)
+            for pos, val in zip(block, r):
+                row[pos] = val
+            global_rows.append(row)
     global_rows.sort(key=_pivot_position)
     return [MPoly.from_vector(space, monos, r) for r in global_rows]
 

@@ -263,18 +263,6 @@ def mat_vec(a, v):
     return out
 
 
-def mat_eq(a, b) -> bool:
-    if len(a) != len(b):
-        return False
-    for ra, rb in zip(a, b):
-        if len(ra) != len(rb):
-            return False
-        for x, y in zip(ra, rb):
-            if x != y:
-                return False
-    return True
-
-
 def mat_inv(a):
     n = len(a)
     aug = [list(row) + list(ident) for row, ident in

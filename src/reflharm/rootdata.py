@@ -9,11 +9,12 @@ generators, so it is an element of the catalog group by construction;
 build_root_datum cross-checks the whole set against the group's
 reflections before returning.
 
-Subsystems are given by seed roots and closed under their own
-reflections; the simple system of a subsystem consists of the positive
-members that are not sums of two positive members.  complement_group
-returns the setwise stabilizer C of that simple system inside W and
-verifies the semidirect decomposition of the normalizer.
+Subsystems are given by seed roots: a subsystem is every root whose
+reflection lies in the group the seed reflections generate.  Its simple
+system consists of the positive members that are not sums of two
+positive members.  complement_group returns the setwise stabilizer C of
+that simple system inside W and verifies the semidirect decomposition of
+the normalizer.
 """
 
 from __future__ import annotations
@@ -190,8 +191,9 @@ class SubsystemData:
 
 
 def subsystem(datum: RootDatum, seed_roots) -> SubsystemData:
-    """Close seed roots under their own reflections and extract the
-    subsystem's simple system."""
+    """The roots whose reflections lie in the group the seed reflections
+    generate (the closure of the seeds under their own reflections), and
+    the subsystem's simple system."""
     seeds = [_coerce_vector(v, datum.rank) for v in seed_roots]
     if not seeds:
         raise UsageError("subsystem needs at least one seed root")
@@ -199,20 +201,10 @@ def subsystem(datum: RootDatum, seed_roots) -> SubsystemData:
         if not datum.contains_root(s):
             raise UsageError("seed %r is not a root of %s"
                              % (s, datum.label))
-    closure = set(seeds)
-    for s in seeds:
-        closure.add(tuple(-x for x in s))
-    changed = True
-    while changed:
-        changed = False
-        for beta in list(closure):
-            mat = datum.reflection_of(beta)
-            for gamma in list(closure):
-                image = _apply(mat, gamma)
-                if image not in closure:
-                    closure.add(image)
-                    changed = True
-    roots = sorted(closure)
+    seed_group = datum.group.subgroup_from_matrices(
+        [datum.reflection_of(s) for s in seeds])
+    roots = [r for r in datum.roots
+             if seed_group.contains_matrix(datum.reflection_of(r))]
     positives = [r for r in roots if _is_positive(r)]
     pos_set = set(positives)
     simples = []

@@ -1,3 +1,7 @@
+import hashlib
+import json
+import pathlib
+
 import pytest
 
 from reflharm import harmonics
@@ -157,12 +161,46 @@ def test_harmonics_cyclic():
     assert H.dimension() == 6
 
 
-def test_perp_matches_derivative_small():
+@pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
+def test_perp_matches_derivative_small(space):
+    """gmpn:3:1:2 and gmpn:3:1:3 split the perp kernel by complex
+    diagonal characters, complex conjugate on the two variable sides."""
     for name in ["weyl:B:2", "cyclic:6", "gmpn:3:1:2", "gmpn:3:3:2",
                  "weyl:A:2", "weyl:G2:2", "weyl:D:2", "gmpn:4:2:2",
-                 "gmpn:1:1:3"]:
+                 "gmpn:1:1:3", "gmpn:3:1:3"]:
         g = catalog(name)
-        assert harmonic_basis(g, "perp") == harmonic_basis(g, "derivative"), name
+        assert harmonic_basis(g, "perp", space) == \
+            harmonic_basis(g, "derivative", space), name
+
+
+_REFERENCE = pathlib.Path(__file__).parents[1] / "bench" / "reference.json"
+
+
+@pytest.mark.parametrize("name", ["weyl:A:4", "weyl:D:4"])
+def test_perp_basis_matches_stored_digest(name):
+    """The benchmark reference stores the perp basis digest (in the layout
+    of `reflharm harmonics`) under the derivative request of each group."""
+    stored = json.loads(_REFERENCE.read_text())
+    basis = harmonic_basis(catalog(name), "perp")
+    text = json.dumps({"dimension": basis.dimension(),
+                       "degrees": {str(d): [p.to_json() for p in basis.basis(d)]
+                                   for d in sorted(basis.degrees)}},
+                      indent=2, sort_keys=True) + "\n"
+    ref = stored["harmonic_basis %s derivative" % name]
+    assert hashlib.sha256(text.encode()).hexdigest() == ref["sha256"]
+
+
+@pytest.mark.parametrize("name", ["weyl:B:2", "gmpn:3:1:2"])
+def test_perp_route_needs_no_skew_product(monkeypatch, name):
+    """The perp route stays independent of the derivative route: it builds
+    with the skew product and the derivative solver both refusing."""
+    def refuse(*args):
+        raise AssertionError("the perp route reached the derivative route")
+
+    monkeypatch.setattr(harmonics, "_harmonic_degrees_derivative", refuse)
+    monkeypatch.setattr(ReflectionGroup, "_skew_product", refuse)
+    group = catalog(name)
+    assert harmonic_basis(group, "perp").dimension() == group.order
 
 
 def test_harmonics_covariant_side():
