@@ -33,6 +33,9 @@ The two skew products are
     skew_contravariant = prod_H L_H^(e_H - 1)   (transforms by det)
     skew_covariant     = prod_H a_H^(e_H - 1)   (same on the dual side)
 
+An element's identity is its index.  index_of maps a matrix to it (None
+outside the group), and no other layer keys elements by their matrices.
+
 The group-level queries that other layers share live here, once each:
 conjugacy classes (conjugacy_classes, cached on the group), the
 normaliser test (is_normalized_by, on generators) and subgroup closure
@@ -63,15 +66,6 @@ CYC_ONE = CycloScalar.rational(1)
 CYC_ZERO = CycloScalar.rational(0)
 
 
-def matrix_key(mat):
-    """Canonical hashable key; equal matrices over any conductor collide.
-
-    Every entry goes through its minimal-conductor form, so this suits a
-    few matrices of unknown field; the closure keys its elements by
-    numerators at one fixed conductor instead (numerators_at)."""
-    return tuple(s.sort_key() for row in mat for s in row)
-
-
 def matrix_to_json(mat):
     return [[s.to_json() for s in row] for row in mat]
 
@@ -83,8 +77,7 @@ def matrix_from_json(data):
     for row in data:
         if not isinstance(row, list):
             raise UsageError("matrix JSON rows must be arrays")
-        mat.append([CycloScalar.from_json(v) if isinstance(v, dict)
-                    else CycloScalar.coerce(v) for v in row])
+        mat.append([CycloScalar.from_json(v) for v in row])
     n = len(mat)
     if any(len(row) != n for row in mat):
         raise UsageError("matrix JSON is not square")

@@ -14,14 +14,16 @@ reflection lies in the group the seed reflections generate.  Its simple
 system consists of the positive members that are not sums of two
 positive members.  complement_group returns the setwise stabilizer C of
 that simple system inside W and verifies the semidirect decomposition of
-the normalizer.
+the normalizer.  Elements of W are compared by index (index_of), and the
+normalizer and the intersection with W' are counted on indices alone
+(mul_index, inverse_index), with no matrix products.
 """
 
 from __future__ import annotations
 
 from .errors import DomainError, UsageError, VerificationError
-from .groups import ReflectionGroup, matrix_key, weyl_group
-from .linalg import mat_inv, mat_mul
+from .groups import ReflectionGroup, weyl_group
+from .linalg import mat_inv, mat_mul, mat_vec
 from .scalars import CycloScalar, qq
 
 SUBSYSTEM_PRESETS = {
@@ -38,16 +40,10 @@ def _coerce_vector(vec, dim):
 
 
 def _apply(mat, vec):
-    out = []
-    for row in mat:
-        acc = CycloScalar.rational(0)
-        for entry, x in zip(row, vec):
-            if x:
-                acc = acc + entry * CycloScalar.rational(x)
-        if not acc.is_rational():
-            raise DomainError("matrix moved a root outside rational space")
-        out.append(acc.as_rational())
-    return tuple(out)
+    out = mat_vec(mat, [CycloScalar.rational(x) for x in vec])
+    if not all(x.is_rational() for x in out):
+        raise DomainError("matrix moved a root outside rational space")
+    return tuple(x.as_rational() for x in out)
 
 
 def _is_positive(vec) -> bool:
@@ -154,10 +150,10 @@ def _validate_datum(group, roots, positives, simples, refl):
         neg = tuple(-x for x in r)
         if neg not in root_set or _is_positive(neg):
             raise DomainError("root system is not symmetric")
-        if matrix_key(refl[r]) != matrix_key(refl[neg]):
+        if group.index_of(refl[r]) != group.index_of(refl[neg]):
             raise DomainError("opposite roots produced different reflections")
-    refl_keys = {matrix_key(group.element(i)) for i in group.reflections()}
-    if {matrix_key(refl[r]) for r in positives} != refl_keys:
+    if ({group.index_of(refl[r]) for r in positives}
+            != set(group.reflections())):
         raise DomainError("root reflections do not exhaust the group's")
     simple_mat = [[CycloScalar.rational(simples[j][i])
                    for j in range(len(simples))]
@@ -279,22 +275,26 @@ def complement_group(datum: RootDatum,
         return sub._complement
     simple_set = set(sub.simples)
     group = datum.group
-    c_mats = []
-    for w in group.elements:
-        if {_apply(w, s) for s in simple_set} == simple_set:
-            c_mats.append(w)
+    c_idx = [i for i, w in enumerate(group.elements)
+             if {_apply(w, s) for s in simple_set} == simple_set]
     wprime = sub.group
-    normalizer = sum(1 for w, wi in zip(group.elements, group.inverses)
-                     if wprime.is_normalized_by(w, wi))
-    in_both = sum(1 for m in c_mats if wprime.contains_matrix(m))
+    in_wprime = {group.index_of(g) for g in wprime.elements}
+    gens = [group.index_of(g) for g in wprime.generators]
+    # w normalises W' iff it conjugates each generator of W' into W'
+    normalizer = sum(
+        1 for w in range(group.order)
+        if all(group.mul_index(group.mul_index(w, g), group.inverse_index(w))
+               in in_wprime for g in gens))
+    in_both = sum(1 for i in c_idx if i in in_wprime)
     if in_both != 1:
         raise VerificationError(
             "stabilizer of the simple system meets the subsystem group "
             "in %d elements" % in_both)
-    if normalizer != len(c_mats) * wprime.order:
+    if normalizer != len(c_idx) * wprime.order:
         raise VerificationError(
             "normalizer order %d is not |C|*|W'| = %d*%d"
-            % (normalizer, len(c_mats), wprime.order))
+            % (normalizer, len(c_idx), wprime.order))
     sub._complement = group.subgroup_from_matrices(
-        c_mats, name="%s-complement" % datum.label)
+        [group.element(i) for i in c_idx],
+        name="%s-complement" % datum.label)
     return sub._complement

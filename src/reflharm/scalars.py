@@ -714,12 +714,20 @@ class CycloScalar:
 
     @staticmethod
     def from_json(data) -> "CycloScalar":
-        if not isinstance(data, dict) or "order" not in data or "coeffs" not in data:
+        """One JSON scalar: an integer, a "p/q" string, or {"order": n,
+        "coeffs": [...]} on the power basis of Q(zeta_n).  Booleans are
+        rejected, although Python counts them as integers."""
+        if isinstance(data, bool):
+            raise UsageError("cannot interpret %r as a scalar" % (data,))
+        if not isinstance(data, dict):
+            return CycloScalar.coerce(data)
+        if "order" not in data or "coeffs" not in data:
             raise UsageError("scalar JSON needs 'order' and 'coeffs'")
         order, coeffs = data["order"], data["coeffs"]
-        if type(order) is not int or not isinstance(coeffs, list):
+        if (type(order) is not int or not isinstance(coeffs, list)
+                or any(isinstance(c, bool) for c in coeffs)):
             raise UsageError("scalar JSON needs an integer 'order' and a "
-                             "'coeffs' array")
+                             "'coeffs' array of rationals")
         return CycloScalar(order, [qq(c) for c in coeffs])
 
     def __str__(self):

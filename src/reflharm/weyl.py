@@ -25,7 +25,11 @@ the weight function is supported on the coset C*F0^{-1} and takes the
 prescribed class-function values there.  The action of a coset element
 on the fixed harmonics is its literal matrix action on polynomials;
 reports carry that convention as metadata since other normalizations are
-conceivable.
+conceivable.  No group is closed over C and F0: F0 normalises C (it
+normalises W and fixes the simple system of W'), so the group is C<F0>,
+of order k|C| for the least k >= 1 with F0^k in C.  Elements of C are
+named by their indices in C (ReflectionGroup.index_of): f_classes
+returns frozensets of indices, and the weight function is keyed by them.
 
 With F0 the identity and weight constantly 1 the twisted formula
 collapses to the split one exactly; that collapse and the partition of
@@ -35,7 +39,7 @@ the split count over the F-classes of C are both covered by tests.
 from __future__ import annotations
 
 from .errors import CapError, DomainError, UsageError
-from .groups import ReflectionGroup, matrix_from_json, matrix_key
+from .groups import ReflectionGroup, matrix_from_json
 from .harmonics import action_trace, fixed_point_basis, harmonic_basis
 from .linalg import det, identity_matrix, mat_inv, mat_mul
 from .mpoly import coerce_matrix
@@ -43,17 +47,6 @@ from .rootdata import RootDatum, SubsystemData, complement_group, _apply
 from .scalars import QQ, CycloScalar, RatPoly
 
 _ORDER_CAP = 1000
-
-
-def _matrix_order(mat, cap=_ORDER_CAP) -> int:
-    ident = identity_matrix(len(mat), CycloScalar.rational(1))
-    key_id = matrix_key(ident)
-    acc = mat
-    for k in range(1, cap + 1):
-        if matrix_key(acc) == key_id:
-            return k
-        acc = mat_mul(acc, mat)
-    raise CapError("matrix order exceeds %d" % cap)
 
 
 class TwistData:
@@ -98,52 +91,46 @@ class TwistData:
                 raise UsageError("weight values must be an array of "
                                  "{\"element\", \"value\"} objects")
             values = [(matrix_from_json(e["element"]),
-                       CycloScalar.coerce(e["value"])) for e in entries]
+                       CycloScalar.from_json(e["value"])) for e in entries]
             return TwistData(f0, "values", values)
         raise UsageError("twist weight must be \"one\", an indicator, or "
                          "explicit values")
 
     def weight_values(self, cgroup: ReflectionGroup, f0) -> dict:
-        """Map matrix_key of each element of C to its weight, validated to
-        be constant on F-classes."""
+        """Map the index in C of each element to its weight, validated to
+        be constant on F-classes.  Listed elements outside C are ignored;
+        one element listed with two different values is an error."""
         classes = f_classes(cgroup, f0)
-        values = {}
+        one, zero = CycloScalar.rational(1), CycloScalar.rational(0)
         if self.g_kind == "one":
-            one = CycloScalar.rational(1)
-            for cls in classes:
-                for key in cls:
-                    values[key] = one
-        elif self.g_kind == "indicator":
-            target = matrix_key(coerce_matrix(self.g_data))
-            hit = [cls for cls in classes if target in cls]
-            if not hit:
+            return dict.fromkeys(range(cgroup.order), one)
+        if self.g_kind == "indicator":
+            target = cgroup.index_of(self.g_data)
+            if target is None:
                 raise UsageError("indicator element does not lie in C")
-            chosen = hit[0]
-            one = CycloScalar.rational(1)
-            zero = CycloScalar.rational(0)
-            for cls in classes:
-                v = one if cls is chosen else zero
-                for key in cls:
-                    values[key] = v
-        else:
-            explicit = {}
-            for mat, val in self.g_data:
-                explicit[matrix_key(coerce_matrix(mat))] = \
-                    CycloScalar.coerce(val)
-            for cls in classes:
-                vals = [explicit.get(key) for key in cls]
-                if any(v is None for v in vals):
-                    raise UsageError("weight values do not cover C")
-                if any(v != vals[0] for v in vals):
-                    raise UsageError("weight is not constant on an F-class")
-                for key in cls:
-                    values[key] = vals[0]
+            return {i: one if target in cls else zero
+                    for cls in classes for i in cls}
+        explicit = {}
+        for mat, val in self.g_data:
+            i = cgroup.index_of(mat)
+            val = CycloScalar.coerce(val)
+            if i is not None and explicit.setdefault(i, val) != val:
+                raise UsageError("weight values list one element with two "
+                                 "different values")
+        values = {}
+        for cls in classes:
+            vals = [explicit.get(i) for i in cls]
+            if any(v is None for v in vals):
+                raise UsageError("weight values do not cover C")
+            if any(v != vals[0] for v in vals):
+                raise UsageError("weight is not constant on an F-class")
+            values.update(dict.fromkeys(cls, vals[0]))
         return values
 
 
 def f_classes(cgroup: ReflectionGroup, f0):
     """Partition of C into F-conjugacy classes c ~ x c F0(x)^{-1} F0,
-    as a list of frozensets of matrix keys, deterministic order."""
+    as a list of frozensets of element indices of C, deterministic order."""
     f0_inv = mat_inv(f0)
     twisted = {}
     for i in range(cgroup.order):
@@ -171,8 +158,7 @@ def f_classes(cgroup: ReflectionGroup, f0):
                 if img not in orbit:
                     stack.append(img)
         seen |= orbit
-        classes.append(frozenset(matrix_key(cgroup.element(c))
-                                 for c in orbit))
+        classes.append(frozenset(orbit))
     return classes
 
 
@@ -216,24 +202,27 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
     if {_apply(f0, s) for s in simple_set} != simple_set:
         raise UsageError("twisting matrix does not stabilize the "
                          "subsystem's simple system")
-    # normalising W does not bound the order of F0 (a scalar matrix
-    # normalises every group), so the cap runs after the checks above
-    _matrix_order(f0)
-
-    cbar = ReflectionGroup(list(cgroup.elements) + [f0],
-                           name="%s-twisted-complement" % datum.label)
+    # |<C, F0>| = k|C| (module docstring).  Normalising W does not bound
+    # the order of F0 (a scalar matrix normalises every group), so the cap
+    # on k runs after the checks above.
+    k, power = 1, f0
+    while not cgroup.contains_matrix(power):
+        if k == _ORDER_CAP:
+            raise CapError("no power of the twisting matrix up to %d lies "
+                           "in C" % _ORDER_CAP)
+        k, power = k + 1, mat_mul(power, f0)
     weights = twist.weight_values(cgroup, f0)
     fixed = fixed_point_basis(harmonic_basis(w), sub.group)
     span = datum.npositive - sub.nprime
-    unit = QQ(1, cbar.order)
+    unit = QQ(1, k * cgroup.order)
     coeffs = [QQ(0)] * (2 * span + 1)
     for d in sorted(fixed.degrees):
         if d > span:
             raise DomainError("fixed harmonics reach degree %d, above the "
                               "summation bound %d" % (d, span))
         total = CycloScalar.rational(0)
-        for c in cgroup.elements:
-            weight = weights[matrix_key(c)]
+        for i, c in enumerate(cgroup.elements):
+            weight = weights[i]
             if not weight:
                 continue
             trace = action_trace(fixed, d, mat_mul(c, f0_inv))

@@ -26,7 +26,7 @@ from reflharm.factorisation import (
     xi_apply,
     xi_dual_compare,
 )
-from reflharm.groups import catalog, matrix_key, registry_names
+from reflharm.groups import catalog, registry_names
 from reflharm.harmonics import (
     fixed_point_basis,
     harmonic_basis,
@@ -424,7 +424,7 @@ def test_criterion_9_twisted_collapse_and_partition():
         f0 = identity_matrix(datum.rank, ONE)
         total = RatPoly([0])
         for cls in f_classes(comp, f0):
-            rep = next(el for el in comp.elements if matrix_key(el) in cls)
+            rep = comp.element(min(cls))
             total = total + count_twisted(datum, sub,
                                           TwistData.indicator(f0, rep))
         _need(failures, total == split,

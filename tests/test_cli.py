@@ -9,8 +9,8 @@ import pytest
 from reflharm import characters, harmonics
 from reflharm.characters import character_table
 from reflharm.cli import main
-from reflharm.groups import catalog, matrix_key, registry_names, weyl_group
-from reflharm.mpoly import MPoly, coerce_matrix
+from reflharm.groups import catalog, registry_names, weyl_group
+from reflharm.mpoly import MPoly
 from reflharm.scalars import RatPoly
 
 
@@ -131,10 +131,9 @@ def test_harmonics_group_not_generated_by_reflections(capsys, tmp_path,
 
 def test_factorise_b2(capsys):
     group = weyl_group("B", 2)
-    refl = [group.element(i) for i in group.reflections()]
-    want = {matrix_key(coerce_matrix([[-1, 0], [0, 1]])),
-            matrix_key(coerce_matrix([[1, 0], [0, -1]]))}
-    picks = [str(i) for i, m in enumerate(refl) if matrix_key(m) in want]
+    want = {group.index_of([[-1, 0], [0, 1]]),
+            group.index_of([[1, 0], [0, -1]])}
+    picks = [str(k) for k, i in enumerate(group.reflections()) if i in want]
     assert len(picks) == 2
     data = run_json(capsys, "factorise", "--catalog", "weyl:B:2",
                     "--subgroup-reflections", ",".join(picks))
@@ -314,6 +313,7 @@ def test_shear_twist_is_usage_error(capsys, tmp_path):
 
 
 _ID2 = [[1, 0], [0, 1]]
+_SWAP2 = [[0, 1], [1, 0]]
 
 
 @pytest.mark.parametrize("argv,payload", [
@@ -331,9 +331,20 @@ _ID2 = [[1, 0], [0, 1]]
     (("count", "C2", "long-A1A1", "--twist"), {"F0": [["x", 0], [0, 1]]}),
     (("count", "C2", "long-A1A1", "--twist"),
      {"F0": _ID2, "g": {"values": [{"element": _ID2}]}}),
+    (("count", "C2", "long-A1A1", "--twist"),
+     {"F0": _ID2, "g": {"values": [{"element": _ID2, "value": 1},
+                                   {"element": _SWAP2, "value": 0},
+                                   {"element": _SWAP2, "value": 1}]}}),
+    (("group", "--generators"), {"generators": [[[True]]]}),
+    (("count", "C2", "long-A1A1", "--twist"),
+     {"F0": [[True, False], [False, True]]}),
+    (("count", "C2", "long-A1A1", "--twist"),
+     {"F0": _ID2, "g": {"values": [{"element": _ID2, "value": True},
+                                   {"element": _SWAP2, "value": 0}]}}),
 ], ids=["generators-int", "matrix-int", "row-int", "entry-string",
         "order-string", "f0-int", "values-int", "indicator-int",
-        "f0-string", "value-missing"])
+        "f0-string", "value-missing", "values-conflict", "entry-bool",
+        "f0-bool", "value-bool"])
 def test_malformed_matrix_json_is_usage_error(capsys, tmp_path, argv,
                                                payload):
     path = tmp_path / "input.json"

@@ -9,7 +9,6 @@ from reflharm.groups import (
     catalog,
     conjugacy_classes,
     matrix_from_json,
-    matrix_key,
     matrix_to_json,
     registry_names,
     weyl_group,
@@ -341,17 +340,24 @@ def test_hyperplane_order_is_pointwise_stabiliser(name):
 
 # -- the closure against a plain matrix BFS, and its key
 
+def _matrix_key(mat):
+    """Equal matrices over any conductor collide: every entry is taken in
+    its minimal-conductor form.  Kept apart from index_of, which the
+    reference closure checks."""
+    return tuple(s.sort_key() for row in mat for s in row)
+
+
 def _reference_closure(gens):
     """Breadth-first closure by CycloScalar matrix products, deduplicated by
-    matrix_key: (elements, right, parent, letter) in discovery order."""
+    _matrix_key: (elements, right, parent, letter) in discovery order."""
     ident = identity_matrix(len(gens[0]), ONE)
-    elements, index = [ident], {matrix_key(ident): 0}
+    elements, index = [ident], {_matrix_key(ident): 0}
     right, parent, letter = [], [0], [None]
     for cursor, base in enumerate(elements):
         row = []
         for k, g in enumerate(gens):
             prod = mat_mul(base, g)
-            j = index.setdefault(matrix_key(prod), len(elements))
+            j = index.setdefault(_matrix_key(prod), len(elements))
             if j == len(elements):
                 elements.append(prod)
                 parent.append(cursor)
@@ -369,8 +375,8 @@ def test_closure_matches_reference_bfs(name):
     assert group._right == right
     assert group._parent == parent
     assert group._letter == letter
-    assert ([matrix_key(g) for g in group.elements]
-            == [matrix_key(g) for g in elements])
+    assert ([_matrix_key(g) for g in group.elements]
+            == [_matrix_key(g) for g in elements])
 
 
 @pytest.mark.parametrize("name", ["gmpn:6:2:3", "weyl:D:4"])

@@ -2,8 +2,8 @@
 
 import pytest
 
+from reflharm import groups, linalg, rootdata
 from reflharm.errors import UsageError
-from reflharm.groups import matrix_key
 from reflharm.rootdata import (
     SUBSYSTEM_PRESETS,
     build_root_datum,
@@ -78,8 +78,7 @@ def test_reflection_of_negative_matches_positive():
     datum = build_root_datum("B", 3)
     for r in datum.positives:
         neg = tuple(-x for x in r)
-        assert matrix_key(datum.reflection_of(r)) == \
-            matrix_key(datum.reflection_of(neg))
+        assert datum.reflection_of(r) == datum.reflection_of(neg)
 
 
 def test_reflection_of_rejects_non_root():
@@ -178,6 +177,29 @@ def test_complement_of_long_a2_in_g2():
     assert c.order == 2
     # the nontrivial element is the short simple reflection
     assert c.contains_matrix(datum.reflection_of((0, 1)))
+
+
+def test_complement_group_makes_no_matrix_products(monkeypatch):
+    """The normaliser and C meet W' are counted on W's indices."""
+    datum = build_root_datum("B", 3)
+    sub = subsystem(datum, [(1, -1, 0)])
+    calls = []
+    real = linalg.mat_mul
+
+    def counting(*args, **kwargs):
+        calls.append("mat_mul")
+        return real(*args, **kwargs)
+
+    def normalised(*args, **kwargs):
+        calls.append("is_normalized_by")
+        return True
+
+    for module in (linalg, groups, rootdata):
+        monkeypatch.setattr(module, "mat_mul", counting)
+    monkeypatch.setattr(groups.ReflectionGroup, "is_normalized_by",
+                        normalised)
+    assert complement_group(datum, sub).order == 4
+    assert calls == []
 
 
 def test_complement_requires_matching_datum():

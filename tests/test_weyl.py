@@ -7,6 +7,7 @@ import pytest
 from reflharm.errors import CapError, DomainError, UsageError
 from reflharm.harmonics import invariant_degrees
 from reflharm.rootdata import (
+    _apply,
     build_root_datum,
     complement_group,
     root_datum_from_label,
@@ -16,7 +17,6 @@ from reflharm.rootdata import (
 from reflharm.scalars import QQ, CycloScalar, RatPoly
 from reflharm.weyl import (
     TwistData,
-    _matrix_order,
     count_split,
     count_twisted,
     f_classes,
@@ -126,6 +126,32 @@ def test_split_matches_lang_count_when_complement_trivial(label, expected):
         assert preset in {frozenset(sub.roots) for sub in trivial}
 
 
+def _complement_by_matrices(datum, sub):
+    """complement_group's former matrix method: the simple-system
+    stabiliser by _apply, the normaliser of W' by is_normalized_by, and the
+    stabiliser's intersection with W' by contains_matrix."""
+    group, wprime = datum.group, sub.group
+    simple_set = set(sub.simples)
+    stab = [w for w in group.elements
+            if {_apply(w, s) for s in simple_set} == simple_set]
+    normalizer = sum(1 for w, wi in zip(group.elements, group.inverses)
+                     if wprime.is_normalized_by(w, wi))
+    in_both = sum(1 for w in stab if wprime.contains_matrix(w))
+    return stab, normalizer, in_both
+
+
+@pytest.mark.parametrize("label", ["B3", "C3", "G2"])
+def test_complement_group_matches_matrix_oracle(label):
+    datum = root_datum_from_label(label)
+    for sub in _all_subsystems(datum):
+        stab, normalizer, in_both = _complement_by_matrices(datum, sub)
+        assert in_both == 1, sub.simples
+        assert normalizer == len(stab) * sub.group.order, sub.simples
+        comp = complement_group(datum, sub)
+        assert comp.order == len(stab)
+        assert all(comp.contains_matrix(w) for w in stab)
+
+
 def test_split_report_fields(c2_long):
     datum, sub = c2_long
     report = split_report(datum, sub)
@@ -208,14 +234,45 @@ def test_twist_requires_normalizing(c2_long):
 
 
 def test_twist_requires_finite_order(c2_long):
+    # F0 = Id + (swap)/2 commutes with W(D2) = {+-Id, +-swap}, fixes the
+    # simple root (1, -1) and has eigenvalue 2 on (1, 1): it passes every
+    # normalising check, and no power of it lies in C
+    d2 = build_root_datum("D", 2)
+    stretch = TwistData([[QQ(3, 2), QQ(1, 2)], [QQ(1, 2), QQ(3, 2)]])
+    with pytest.raises(CapError):
+        count_twisted(d2, subsystem(d2, [(1, -1)]), stretch)
+    # a shear of infinite order does not normalise W, and that is reported
+    # first
     datum, sub = c2_long
     shear = TwistData([[1, 1], [0, 1]])
-    # the order cap holds for a matrix of infinite order ...
-    with pytest.raises(CapError):
-        _matrix_order(shear.f0)
-    # ... but this one does not normalise W, and that is reported first
     with pytest.raises(UsageError, match="does not normalize the Weyl group"):
         count_twisted(datum, sub, shear)
+
+
+def test_twisted_values_match_elements_by_index(c2_long):
+    # an element written with an entry at conductor 4 is still the identity
+    datum, sub = c2_long
+    one_at_4 = {"order": 4, "coeffs": [1, 0]}
+    twist = TwistData.from_json({
+        "F0": IDENT2,
+        "g": {"values": [{"element": [[one_at_4, 0], [0, 1]], "value": 1},
+                         {"element": SWAP2, "value": 0}]},
+    })
+    assert count_twisted(datum, sub, twist) == \
+        RatPoly([0, 0, QQ(1, 2), 0, QQ(1, 2)])
+
+
+def test_twisted_values_reject_conflicts(c2_long):
+    datum, sub = c2_long
+    listed = [(IDENT2, 1), (SWAP2, 0)]
+    # the same value twice, once as "0/3", is allowed
+    same = TwistData(IDENT2, "values", listed + [(SWAP2, "0/3")])
+    assert count_twisted(datum, sub, same) == \
+        RatPoly([0, 0, QQ(1, 2), 0, QQ(1, 2)])
+    for extra in ([(SWAP2, 1)], [(SWAP2, 1), (SWAP2, 0)]):
+        with pytest.raises(UsageError, match="two different values"):
+            count_twisted(datum, sub,
+                          TwistData(IDENT2, "values", listed + extra))
 
 
 def test_twist_kind_validation():
