@@ -6,13 +6,13 @@ Degree by degree this assembles to a linear isomorphism
 
     H(G') (x) H(G)^{G'}  ->  H(G)
 
-which verify_factorisation checks exhaustively on basis tensors, together
-with the dimension identity dim H(G)^{G'} = |G|/|G'| and the matching
-Poincare factorisation.  A dual route realises the same map through
-differentiation of the skew product; xi_dual_compare keeps both routes
-separate and records the proportionality scalar between them per basis
-pair instead of forcing equality, since the normalisations here make some
-pairs differ by a nonzero constant.
+kept as one coordinate matrix M_ij per bidegree (i, j) on the H(G) basis.
+verify_factorisation reads full rank off M_ij, together with the identity
+dim H(G)^{G'} = |G|/|G'| and the Poincare factorisation; equivariance_check
+tests M_ij against action matrices.  A dual route realises the same map
+through differentiation of the skew product; xi_dual_compare records the
+proportionality scalar between the routes per basis pair instead of
+forcing equality, since some pairs differ by a nonzero constant.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ from .errors import UsageError
 from .groups import ReflectionGroup
 from .harmonics import (
     GradedBasis,
+    action_matrix,
     by_degree,
     fixed_point_basis,
     harmonic_basis,
@@ -31,15 +32,8 @@ from .harmonics import (
     invariant_degrees,
     project_to_H,
 )
-from .linalg import echelon_coordinates, mat_inv, rref
-from .mpoly import (
-    CONTRAVARIANT,
-    COVARIANT,
-    MPoly,
-    coerce_matrix,
-    diff_apply,
-    monomials_of_degree,
-)
+from .linalg import echelon_coordinates, mat_inv, mat_mul, rref
+from .mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix, diff_apply
 from .scalars import CycloScalar
 
 _PAIR_CACHE = weakref.WeakKeyDictionary()
@@ -67,15 +61,18 @@ def _fixed_harmonics(ctx, group, subgroup, space) -> GradedBasis:
     return ctx[key]
 
 
+def _coords(basis: GradedBasis, d: int, poly: MPoly):
+    """poly's coordinates on the degree-d piece, or None outside it."""
+    monos, ech, pivots = basis.piece(d)
+    return echelon_coordinates(ech, pivots, poly.coeff_vector(monos))
+
+
 def _graded_member(basis: GradedBasis, poly: MPoly) -> bool:
-    """Whether poly lies in the span of an echelon graded basis, read
-    degree by degree at the pivot columns of each piece."""
+    """Whether poly lies in the span of an echelon graded basis."""
     if poly.nvars != basis.nvars or poly.space != basis.space:
         return False
     for d, part in by_degree(poly):
-        monos, ech, pivots = basis.piece(d)
-        if echelon_coordinates(ech, pivots,
-                               part.coeff_vector(monos)) is None:
+        if _coords(basis, d, part) is None:
             return False
     return True
 
@@ -100,17 +97,19 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
     return h
 
 
-def _tensor_images(ctx, group, subgroup):
-    """xi_apply on every contravariant basis tensor h' (x) k, once per pair:
-    {(deg h', deg k): images, h' the outer index}, degrees ascending."""
-    if "images" not in ctx:
+def _mu(ctx, group, subgroup):
+    """xi_apply on every contravariant basis tensor, once per pair, as
+    {(deg h', deg k): M}, degrees ascending: row a * dim K_j + b of M holds
+    the _coords of xi_apply(h'_a, k_b) on H(G) in degree i + j."""
+    if "mu" not in ctx:
         subH = harmonic_basis(subgroup)
         fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
-        ctx["images"] = {
-            (i, j): [xi_apply(group, subgroup, hp, k)
+        bigH = harmonic_basis(group)
+        ctx["mu"] = {
+            (i, j): [_coords(bigH, i + j, xi_apply(group, subgroup, hp, k))
                      for hp in subH.basis(i) for k in fixed.basis(j)]
             for i in sorted(subH.degrees) for j in sorted(fixed.degrees)}
-    return ctx["images"]
+    return ctx["mu"]
 
 
 class FactorisationReport:
@@ -248,7 +247,9 @@ def xi_dual_compare(group, subgroup, h: MPoly, a: MPoly):
 
 def equivariance_check(group, subgroup, n_mat) -> bool:
     """Whether the factorisation map commutes with a joint normalizer n of
-    the pair: xi(n.h' (x) n.k) = n.xi(h' (x) k) on every basis tensor."""
+    the pair: (A'_i (x) A^fix_j) M_ij == M_ij A_{i+j} for every bidegree,
+    the A the action matrices of n on H(G'), H(G)^{G'} and H(G).  The map
+    is bilinear, so this is its check on every basis tensor."""
     ctx = _pair_ctx(group, subgroup)
     mat = coerce_matrix(n_mat)
     if len(mat) != group.dim or any(len(r) != group.dim for r in mat):
@@ -259,15 +260,16 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
         raise UsageError("matrix does not normalize both groups")
     subH = harmonic_basis(subgroup)
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
-    moved_h = {i: [hp.act(mat, inv) for hp in subH.basis(i)]
-               for i in subH.degrees}
-    moved_k = {j: [k.act(mat, inv) for k in fixed.basis(j)]
-               for j in fixed.degrees}
-    for (i, j), images in _tensor_images(ctx, group, subgroup).items():
-        tensors = itertools.product(moved_h[i], moved_k[j])
-        for (hp_n, k_n), image in zip(tensors, images):
-            if xi_apply(group, subgroup, hp_n, k_n) != image.act(mat, inv):
-                return False
+    bigH = harmonic_basis(group)
+    mu = _mu(ctx, group, subgroup)
+    sub_act = {i: action_matrix(subH, i, mat) for i in subH.degrees}
+    fix_act = {j: action_matrix(fixed, j, mat) for j in fixed.degrees}
+    big_act = {d: action_matrix(bigH, d, mat) for d in {i + j for i, j in mu}}
+    for (i, j), m in mu.items():
+        kron = [[x * y for x in ra for y in rb]
+                for ra in sub_act[i] for rb in fix_act[j]]
+        if mat_mul(kron, m) != mat_mul(m, big_act[i + j]):
+            return False
     return True
 
 
@@ -301,11 +303,11 @@ def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup
                          ) -> FactorisationReport:
     """Run the full basis-tensor verification for one subgroup pair.
 
-    The rank blocks and the equivariance checks read one evaluation of the
-    map per basis tensor.  Failures land in the report, not in exceptions:
-    rank defects clear the bijective flag, a Poincare mismatch shows in the
-    two polynomials, and each equivariance or duality entry carries its own
-    outcome.
+    The rank blocks and the equivariance checks read the coordinate
+    matrices of the map, one evaluation per basis tensor.  Failures land
+    in the report, not in exceptions: rank defects clear the bijective
+    flag, a Poincare mismatch shows in the two polynomials, and each
+    equivariance or duality entry carries its own outcome.
     """
     ctx = _pair_ctx(group, subgroup)
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
@@ -314,9 +316,7 @@ def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup
 
     bidegree_ranks = {}
     rows_by_total = {}
-    for (i, j), images in _tensor_images(ctx, group, subgroup).items():
-        monos = monomials_of_degree(group.dim, i + j)
-        block = [image.coeff_vector(monos) for image in images]
+    for (i, j), block in _mu(ctx, group, subgroup).items():
         ech, _ = rref(block)
         bidegree_ranks[(i, j)] = {"rows": len(block), "rank": len(ech)}
         rows_by_total.setdefault(i + j, []).extend(block)

@@ -173,7 +173,7 @@ class ReflectionGroup:
         self._dets = None
         self._reflections = None
         self._hyperplanes = None
-        self._plane_index = None
+        self._plane_of = None
         self._plane_rows = None
         self._skew = {}
         self._orders = None
@@ -317,7 +317,8 @@ class ReflectionGroup:
                         {tuple(1 if k == j else 0 for k in range(self.dim)): c
                          for j, c in enumerate(col) if c})
             planes.append(Hyperplane(form, cov, len(idxs) + 1, tuple(idxs)))
-        self._plane_index = {key: k for k, key in enumerate(order)}
+        self._plane_of = {i: k for k, key in enumerate(order)
+                          for i in buckets[key][2]}
         self._plane_rows = [buckets[key][0] for key in order]
         self._hyperplanes = planes
         return planes
@@ -347,29 +348,23 @@ class ReflectionGroup:
 
         Verified through the permutation action on the hyperplane forms, so
         it is cheap enough to run over every element of every fixture: g
-        sends the form with coefficient row c to c g^-1, since
-        (g L)(x) = L(g^-1 x).
+        sends H to the hyperplane of g s g^-1 for any reflection s of H, and
+        the form with coefficient row c to c g^-1, since
+        (g L)(x) = L(g^-1 x), which must be lambda times the target's row.
         """
         gi = self.inverses[i]
-        planes = self.hyperplanes()
+        back = self.inverse_index(i)
         scalar = CYC_ONE
-        seen = set()
-        for pl, row in zip(planes, self._plane_rows):
+        for pl, row in zip(self.hyperplanes(), self._plane_rows):
             coeffs = [sum((c * gi[j][k] for j, c in enumerate(row)
                            if c and gi[j][k]), CYC_ZERO)
                       for k in range(self.dim)]
-            norm = _normalise_form(coeffs)
-            lead = next(c for c in coeffs if c)
-            k = self._plane_index.get(tuple(s.sort_key() for s in norm))
-            if k is None:
+            conj = self.mul_index(self.mul_index(i, pl.reflections[0]), back)
+            target = self._plane_rows[self._plane_of[conj]]
+            lam = next(coeffs[j] for j, c in enumerate(target) if c)
+            if coeffs != [lam * c for c in target]:
                 return False
-            target = planes[k]
-            if target.order != pl.order:
-                return False
-            seen.add(k)
-            scalar = scalar * lead ** (pl.order - 1)
-        if len(seen) != len(planes):
-            return False
+            scalar = scalar * lam ** (pl.order - 1)
         return scalar == self.determinant(i)
 
     # -- subgroups

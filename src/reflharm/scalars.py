@@ -715,8 +715,9 @@ class CycloScalar:
     @staticmethod
     def from_json(data) -> "CycloScalar":
         """One JSON scalar: an integer, a "p/q" string, or {"order": n,
-        "coeffs": [...]} on the power basis of Q(zeta_n).  Booleans are
-        rejected, although Python counts them as integers."""
+        "coeffs": [...]} on the power basis of Q(zeta_n), each an integer
+        or a "p/q" string.  Booleans are rejected, although Python counts
+        them as integers, and so are floats, which are not exact."""
         if isinstance(data, bool):
             raise UsageError("cannot interpret %r as a scalar" % (data,))
         if not isinstance(data, dict):
@@ -725,9 +726,9 @@ class CycloScalar:
             raise UsageError("scalar JSON needs 'order' and 'coeffs'")
         order, coeffs = data["order"], data["coeffs"]
         if (type(order) is not int or not isinstance(coeffs, list)
-                or any(isinstance(c, bool) for c in coeffs)):
+                or any(type(c) not in (int, str) for c in coeffs)):
             raise UsageError("scalar JSON needs an integer 'order' and a "
-                             "'coeffs' array of rationals")
+                             "'coeffs' array of integers or \"p/q\" strings")
         return CycloScalar(order, [qq(c) for c in coeffs])
 
     def __str__(self):

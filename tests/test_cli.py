@@ -341,10 +341,14 @@ _SWAP2 = [[0, 1], [1, 0]]
     (("count", "C2", "long-A1A1", "--twist"),
      {"F0": _ID2, "g": {"values": [{"element": _ID2, "value": True},
                                    {"element": _SWAP2, "value": 0}]}}),
+    (("group", "--generators"),
+     {"generators": [[[{"order": 2, "coeffs": [-1.0]}]]]}),
+    (("group", "--generators"),
+     {"generators": [[[{"order": 1, "coeffs": [0.1]}]]]}),
 ], ids=["generators-int", "matrix-int", "row-int", "entry-string",
         "order-string", "f0-int", "values-int", "indicator-int",
         "f0-string", "value-missing", "values-conflict", "entry-bool",
-        "f0-bool", "value-bool"])
+        "f0-bool", "value-bool", "coeffs-float", "coeffs-float-inexact"])
 def test_malformed_matrix_json_is_usage_error(capsys, tmp_path, argv,
                                                payload):
     path = tmp_path / "input.json"

@@ -1,3 +1,5 @@
+import itertools
+
 import pytest
 
 from reflharm import factorisation
@@ -14,7 +16,9 @@ from reflharm.factorisation import (
     xi_dual_compare,
 )
 from reflharm.groups import catalog
-from reflharm.mpoly import CONTRAVARIANT, COVARIANT, MPoly
+from reflharm.harmonics import harmonic_basis
+from reflharm.linalg import mat_inv
+from reflharm.mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix
 from reflharm.scalars import CycloScalar, RatPoly, qq
 
 ONE = CycloScalar.rational(1)
@@ -91,7 +95,7 @@ def test_verify_factorisation_b2():
 
 
 def test_verify_factorisation_evaluates_each_tensor_once(monkeypatch):
-    # |G| basis tensors, |G| per normaliser candidate, |G| dual pairs
+    # |G| basis tensors and |G| dual pairs; equivariance projects nothing
     b2, sub = b2_pair()
     calls = []
     real = factorisation.project_to_H
@@ -102,7 +106,7 @@ def test_verify_factorisation_evaluates_each_tensor_once(monkeypatch):
 
     monkeypatch.setattr(factorisation, "project_to_H", counting)
     rep = verify_factorisation(b2, sub)
-    assert len(calls) == b2.order * (2 + len(rep.equivariance_checks))
+    assert len(calls) == 2 * b2.order
 
 
 def test_verify_factorisation_extreme_subgroups():
@@ -225,3 +229,87 @@ def test_report_repr_and_label():
     rep = verify_factorisation(b2, sub)
     assert isinstance(rep, FactorisationReport)
     assert "bijective=True" in repr(rep)
+
+
+def _pair(name, picks):
+    group = catalog(name)
+    return group, group.reflection_subgroup(picks)
+
+
+def _per_tensor_check(group, subgroup, mat, mu):
+    """Equivariance tensor by tensor: xi(n.h' (x) n.k) equals
+    n.xi(h' (x) k) on every basis tensor, with each image xi(h' (x) k)
+    read back from its row of the coordinate matrices mu."""
+    inv = mat_inv(coerce_matrix(mat))
+    ctx = factorisation._pair_ctx(group, subgroup)
+    subH = harmonic_basis(subgroup)
+    fixed = factorisation._fixed_harmonics(ctx, group, subgroup,
+                                           CONTRAVARIANT)
+    bigH = harmonic_basis(group)
+    for (i, j), block in mu.items():
+        tensors = itertools.product(subH.basis(i), fixed.basis(j))
+        for (hp, k), row in zip(tensors, block):
+            image = MPoly.zero(CONTRAVARIANT, group.dim)
+            for c, b in zip(row, bigH.basis(i + j)):
+                image = image + b.scale(c)
+            moved = xi_apply(group, subgroup, hp.act(mat, inv),
+                             k.act(mat, inv))
+            if moved != image.act(mat, inv):
+                return False
+    return True
+
+
+@pytest.mark.parametrize("name,picks", [("weyl:B:3", [0, 1]),
+                                        ("gmpn:3:1:2", [0, 5])])
+def test_equivariance_check_agrees_with_per_tensor_check(name, picks):
+    group, sub = _pair(name, picks)
+    mu = factorisation._mu(factorisation._pair_ctx(group, sub), group, sub)
+    normalizers = factorisation._builtin_normalizers(group, sub)
+    assert len(normalizers) >= 2
+    for _, mat in normalizers:
+        assert equivariance_check(group, sub, mat) == \
+            _per_tensor_check(group, sub, mat, mu)
+
+
+def test_equivariance_check_detects_a_corrupted_coordinate():
+    # blocks (0, 0) and (3, 6) sit on H_0 and H_N, where every normaliser
+    # acts by a scalar, and -id acts by a sign on every piece, so neither
+    # could see a change there
+    group, sub = _pair("weyl:B:3", [0, 1])
+    mu = factorisation._mu(factorisation._pair_ctx(group, sub), group, sub)
+    normalizers = factorisation._builtin_normalizers(group, sub)
+    assert all(equivariance_check(group, sub, mat) for _, mat in normalizers)
+    block = mu[(1, 0)]
+    block[0][0] = block[0][0] + ONE
+    assert not all(equivariance_check(group, sub, mat)
+                   for _, mat in normalizers)
+    assert not all(_per_tensor_check(group, sub, mat, mu)
+                   for _, mat in normalizers)
+
+
+def test_equivariance_check_moves_and_projects_no_tensor(monkeypatch):
+    group, sub = _pair("weyl:B:3", [0, 1])
+    verify_factorisation(group, sub)
+    inside = []
+    real_action, real_act = factorisation.action_matrix, MPoly.act
+
+    def action(*args):
+        inside.append(True)
+        try:
+            return real_action(*args)
+        finally:
+            inside.pop()
+
+    def act(self, *args):
+        assert inside, "MPoly.act outside action_matrix"
+        return real_act(self, *args)
+
+    def forbidden(*args):
+        raise AssertionError("a tensor was evaluated again")
+
+    monkeypatch.setattr(factorisation, "action_matrix", action)
+    monkeypatch.setattr(MPoly, "act", act)
+    monkeypatch.setattr(factorisation, "xi_apply", forbidden)
+    monkeypatch.setattr(factorisation, "project_to_H", forbidden)
+    for _, mat in factorisation._builtin_normalizers(group, sub):
+        assert equivariance_check(group, sub, mat)

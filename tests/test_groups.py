@@ -116,6 +116,14 @@ def test_skewness_every_element():
             assert g.check_skewness(i), (name, i)
 
 
+@pytest.mark.parametrize("name", ["weyl:B:3", "weyl:A:3", "gmpn:3:1:3"])
+def test_skewness_detects_a_wrong_hyperplane_row(name):
+    g = catalog(name)
+    g.hyperplanes()
+    g._plane_rows[0] = g._plane_rows[1]
+    assert not all(g.check_skewness(i) for i in range(g.order))
+
+
 def test_inverses_and_mul_index():
     g = catalog("gmpn:3:1:2")
     ident = identity_matrix(g.dim, ONE)
