@@ -98,15 +98,17 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
 
 
 def _mu(ctx, group, subgroup):
-    """xi_apply on every contravariant basis tensor, once per pair, as
+    """The map on every contravariant basis tensor, once per pair, as
     {(deg h', deg k): M}, degrees ascending: row a * dim K_j + b of M holds
-    the _coords of xi_apply(h'_a, k_b) on H(G) in degree i + j."""
+    the _coords on H(G) in degree i + j of the harmonic part of h'_a * k_b.
+    The factors are the basis polynomials, so the membership checks of
+    xi_apply are skipped."""
     if "mu" not in ctx:
         subH = harmonic_basis(subgroup)
         fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
         bigH = harmonic_basis(group)
         ctx["mu"] = {
-            (i, j): [_coords(bigH, i + j, xi_apply(group, subgroup, hp, k))
+            (i, j): [_coords(bigH, i + j, project_to_H(group, hp * k)[0])
                      for hp in subH.basis(i) for k in fixed.basis(j)]
             for i in sorted(subH.degrees) for j in sorted(fixed.degrees)}
     return ctx["mu"]

@@ -57,13 +57,10 @@ from typing import NamedTuple
 from .errors import CapError, DomainError, UsageError
 from .linalg import det, identity_matrix, mat_mul, rank
 from .mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix
-from .scalars import (CycloScalar, euler_phi, from_numerators,
-                      numerators_at, regular_representation)
+from .scalars import (CYC_ONE, CYC_ZERO, CycloScalar, euler_phi,
+                      from_numerators, numerators_at, regular_representation)
 
 DEFAULT_CLOSURE_CAP = 10000
-
-CYC_ONE = CycloScalar.rational(1)
-CYC_ZERO = CycloScalar.rational(0)
 
 
 def matrix_to_json(mat):
@@ -112,7 +109,7 @@ class ReflectionGroup:
             nums, den = numerators_at([s for row in g for s in row], n)
             steps.append((_right_multiplier(nums, dim, n), den))
         ident = numerators_at(
-            [s for row in identity_matrix(dim, CYC_ONE) for s in row], n)
+            [s for row in identity_matrix(dim) for s in row], n)
         keys = [ident]
         index = {ident: 0}
         right = []          # right[i][k]: index of elements[i] * gens[k]
@@ -383,7 +380,7 @@ class ReflectionGroup:
                                  % (p, len(refl) - 1))
             gens.append(self.elements[refl[p]])
         if not gens:
-            gens = [identity_matrix(self.dim, CYC_ONE)]
+            gens = [identity_matrix(self.dim)]
         return self.subgroup_from_matrices(gens,
                                            name=name or (self.name + ":sub"))
 
@@ -499,22 +496,22 @@ def gmpn_group(m: int, p: int, n: int, cap: int = DEFAULT_CLOSURE_CAP) -> Reflec
     z = CycloScalar.root_of_unity(m)
     gens = []
     for i in range(n - 1):
-        s = identity_matrix(n, CYC_ONE)
+        s = identity_matrix(n)
         s[i][i] = s[i + 1][i + 1] = CYC_ZERO
         s[i][i + 1] = s[i + 1][i] = CYC_ONE
         gens.append(s)
     if p < m:
-        d = identity_matrix(n, CYC_ONE)
+        d = identity_matrix(n)
         d[0][0] = z ** p
         gens.append(d)
     if p > 1 and n > 1:
-        t = identity_matrix(n, CYC_ONE)
+        t = identity_matrix(n)
         t[0][0] = t[1][1] = CYC_ZERO
         t[0][1] = z.inv()
         t[1][0] = z
         gens.append(t)
     if not gens:
-        gens = [identity_matrix(n, CYC_ONE)]
+        gens = [identity_matrix(n)]
     grp = ReflectionGroup(gens, cap=cap, name="gmpn:%d:%d:%d" % (m, p, n))
     expect = m ** n * math.factorial(n) // p
     if grp.order != expect:
@@ -526,16 +523,16 @@ def gmpn_group(m: int, p: int, n: int, cap: int = DEFAULT_CLOSURE_CAP) -> Reflec
 def _signed_permutation_gens(n: int, weyl_type: str):
     gens = []
     for i in range(n - 1):
-        s = identity_matrix(n, CYC_ONE)
+        s = identity_matrix(n)
         s[i][i] = s[i + 1][i + 1] = CYC_ZERO
         s[i][i + 1] = s[i + 1][i] = CYC_ONE
         gens.append(s)
     if weyl_type in ("B", "C"):
-        f = identity_matrix(n, CYC_ONE)
+        f = identity_matrix(n)
         f[n - 1][n - 1] = -CYC_ONE
         gens.append(f)
     else:  # D: reflection swapping the last two coordinates with signs
-        f = identity_matrix(n, CYC_ONE)
+        f = identity_matrix(n)
         f[n - 2][n - 2] = f[n - 1][n - 1] = CYC_ZERO
         f[n - 2][n - 1] = f[n - 1][n - 2] = -CYC_ONE
         gens.append(f)
@@ -548,7 +545,7 @@ def _simple_reflection_matrices(cartan):
     n = len(cartan)
     mats = []
     for i in range(n):
-        g = identity_matrix(n, CYC_ONE)
+        g = identity_matrix(n)
         for j in range(n):
             g[i][j] = g[i][j] - CycloScalar.rational(cartan[i][j])
         mats.append(g)

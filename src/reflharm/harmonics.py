@@ -24,17 +24,16 @@ The module computes, exactly:
 
 Harmonic degrees are capped at N = deg(skew product); H vanishes above N.
 
-Internally the per-degree solvers run on raw rational vectors whenever
-their input (the invariant operators, or the basis one degree up) has
-rational coefficients (true for every catalog model), falling back to
-cyclotomic scalars otherwise.  The perp route takes H_d as one joint
-kernel per block of degree-d monomials: the images of the block under
-every invariant operator of degree <= d, stacked into one matrix.  For
-groups of monomial matrices the blocks are indexed by the characters of
-the diagonal subgroup (an invariant operator keeps the character, so the
-blocks do not interact); otherwise all monomials form one block.  The
-derivative route needs no split, since it eliminates only
-ell * dim H_(d+1) rows per degree.
+The per-degree solvers build their rows from the coefficients of their
+input (the invariant operators, or the basis one degree up) as they are;
+`rref` eliminates rows that hold only rationals on integers.  The perp
+route takes H_d as one joint kernel per block of degree-d monomials: the
+images of the block under every invariant operator of degree <= d,
+stacked into one matrix.  For groups of monomial matrices the blocks are
+indexed by the characters of the diagonal subgroup (an invariant operator
+keeps the character, so the blocks do not interact); otherwise all
+monomials form one block.  The derivative route needs no split, since it
+eliminates only ell * dim H_(d+1) rows per degree.
 """
 
 from __future__ import annotations
@@ -402,24 +401,13 @@ def ideal_component(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
 
 
 # ---------------------------------------------------------------------------
-# rational fast path helpers
-
-def _rational_terms(poly: MPoly):
-    """{exponent: mpq} if every coefficient is rational, else None."""
-    out = {}
-    for exps, c in poly.terms.items():
-        if not c.is_rational():
-            return None
-        out[exps] = c.as_rational()
-    return out
+# harmonic bases
 
 
 def _diff_image(op_terms, beta):
-    """Terms of D_op(X^beta) as {exponent: coefficient}.
-
-    op_terms maps exponents to coefficients (rational or cyclotomic);
-    the falling-factorial integers multiply either kind.
-    """
+    """Terms of D_op(X^beta) as {exponent: coefficient}: op_terms maps
+    exponents to coefficients, which the falling-factorial integers
+    multiply."""
     out = {}
     for alpha, c in op_terms.items():
         coef = c
@@ -512,10 +500,6 @@ def _blocks(group: ReflectionGroup, degree: int):
     return [tuple(buckets[sig]) for sig in order]
 
 
-# ---------------------------------------------------------------------------
-# harmonic bases
-
-
 def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
                    space: str = CONTRAVARIANT) -> GradedBasis:
     """Graded echelon basis of the harmonic space H, by degree up to N.
@@ -555,13 +539,9 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
 
 def _operator_terms(group, space):
     """Free generators of the side opposite to `space`, as (degree, term
-    dict) pairs; rational dicts when every generator is rational."""
-    gens = free_generators(group, _opposite(space))
-    terms = [_rational_terms(g) for g in gens]
-    rational = None not in terms
-    if not rational:
-        terms = [dict(g.terms) for g in gens]
-    return [(g.homogeneous_degree(), t) for g, t in zip(gens, terms)], rational
+    dict) pairs."""
+    return [(g.homogeneous_degree(), g.terms)
+            for g in free_generators(group, _opposite(space))]
 
 
 def _harmonic_degree_perp(group, d, space):
@@ -569,9 +549,7 @@ def _harmonic_degree_perp(group, d, space):
     elimination per diagonal-character block: each operator adds one row
     per target monomial of its images of the block's monomials."""
     monos = monomials_of_degree(group.dim, d)
-    ops, rational = _operator_terms(group, space)
-    zero = QQ(0) if rational else _ZERO
-    one = QQ(1) if rational else _ONE
+    ops = _operator_terms(group, space)
     global_rows = []
     for block in _blocks(group, d):
         rows = []
@@ -581,11 +559,11 @@ def _harmonic_degree_perp(group, d, space):
             by_target = {}
             for j, c in enumerate(block):
                 for t, val in _diff_image(op, monos[c]).items():
-                    by_target.setdefault(t, [zero] * len(block))[j] = val
+                    by_target.setdefault(t, [_ZERO] * len(block))[j] = val
             rows.extend(by_target.values())
-        ech, _ = rref(kernel_basis(rows, len(block), one=one))
+        ech, _ = rref(kernel_basis(rows, len(block)))
         for r in ech:
-            row = [zero] * len(monos)
+            row = [_ZERO] * len(monos)
             for pos, val in zip(block, r):
                 row[pos] = val
             global_rows.append(row)
@@ -604,18 +582,13 @@ def _harmonic_degrees_derivative(group, space):
     lead = next(c for _, c in skew.sorted_terms() if c)
     levels = [[skew.scale(lead.inv())]]
     for d in range(n_top - 1, -1, -1):
-        upper = [_rational_terms(h) for h in levels[-1]]
-        zero = QQ(0)
-        if None in upper:
-            upper = [h.terms for h in levels[-1]]
-            zero = _ZERO
         monos = monomials_of_degree(nv, d)
         index = {m: j for j, m in enumerate(monos)}
         rows = []
-        for terms in upper:
+        for h in levels[-1]:
             for i in range(nv):
-                row = [zero] * len(monos)
-                for exps, c in terms.items():
+                row = [_ZERO] * len(monos)
+                for exps, c in h.terms.items():
                     if exps[i]:
                         low = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
                         row[index[low]] = c * exps[i]
@@ -720,7 +693,7 @@ def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedB
             columns.extend([act[i][j] - _ONE if i == j else act[i][j]
                             for i in range(k)] for j in range(k))
         monos, vecs, _ = graded.piece(d)
-        ech, _ = rref(mat_mul(kernel_basis(columns, k, one=_ONE), vecs))
+        ech, _ = rref(mat_mul(kernel_basis(columns, k), vecs))
         if ech:
             out[d] = [MPoly.from_vector(graded.space, monos, r) for r in ech]
     return GradedBasis(graded.space, graded.nvars, out)

@@ -1,20 +1,20 @@
 """Exact row reduction, kernels and linear solving.
 
-Matrices are dense lists of rows over CycloScalar or raw rationals.  `rref`
-is the one Gauss-Jordan elimination: kernels, span membership, coordinates
-and inverses are all read off its output, on the rows themselves or on the
-rows augmented by an identity block.  Rows of rationals only are
-eliminated on integer rows, fraction-free with the content divided out,
-and normalised once at the end by their pivots; rows holding any
-CycloScalar go through the field loop.  `det` keeps its own forward
+Matrices are dense lists of rows over CycloScalar; raw rationals are
+accepted on input and coerced once.  `rref` is the one Gauss-Jordan
+elimination: kernels, span membership, coordinates and inverses are all
+read off its output, on the rows themselves or on the rows augmented by an
+identity block.  When every entry is rational (its numerators past the
+first are zero) the rows are eliminated on integers, fraction-free with
+the content divided out, and normalised once at the end by their pivots;
+otherwise they go through the field loop.  `det` keeps its own forward
 elimination because it needs the product of the pivots, not an echelon
 form.
 
 Reduced row echelon form is unique for a given row space, so every routine
 returns the same matrix no matter how the input rows were ordered.  Kernel
 bases use the standard free-column construction read off the echelon form,
-which is therefore just as canonical.  Scalars only need +, -, *, inverse
-and an exact zero test; CycloScalar and the rational type both qualify.
+which is therefore just as canonical.
 """
 
 from __future__ import annotations
@@ -22,26 +22,30 @@ from __future__ import annotations
 from math import gcd, lcm
 
 from .errors import DomainError
-from .scalars import QQ, QQ_ONE, QQ_ZERO, CycloScalar
+from .scalars import CYC_ONE, CYC_ZERO, CycloScalar, _make
 
 
-def _inv(x):
-    if isinstance(x, CycloScalar):
-        return x.inv()
-    return 1 / x
+def _coerced(row):
+    return [a if isinstance(a, CycloScalar) else CycloScalar.coerce(a)
+            for a in row]
 
 
 def rref(rows):
     """Canonical reduced row echelon form.
 
     Returns (echelon_rows, pivot_columns) with zero rows dropped, pivots
-    monic, and every pivot column cleared above and below.  Rows of QQ
-    entries only are eliminated on integers (`_rref_rational`); any
-    CycloScalar entry sends the rows through the loop below.
+    monic, and every pivot column cleared above and below.  Rows whose
+    entries are all rational are eliminated on integers (`_rref_rational`);
+    any other entry sends them through the field loop (`_rref_field`).
     """
-    mat = [list(r) for r in rows]
-    if all(isinstance(a, QQ) for row in mat for a in row):
+    mat = [_coerced(r) for r in rows]
+    if all(a.order == 1 or not any(a.nums[1:]) for row in mat for a in row):
         return _rref_rational(mat)
+    return _rref_field(mat)
+
+
+def _rref_field(mat):
+    """rref of CycloScalar rows by Gauss-Jordan over the field, in place."""
     m = len(mat)
     n = len(mat[0]) if m else 0
     pivots = []
@@ -57,7 +61,7 @@ def rref(rows):
         mat[r], mat[k] = mat[k], mat[r]
         piv = mat[r][c]
         if piv != 1:
-            inv = _inv(piv)
+            inv = piv.inv()
             mat[r] = [a * inv for a in mat[r]]
         row_r = mat[r]
         for i in range(m):
@@ -82,18 +86,15 @@ def _primitive(row):
 
 
 def _rref_rational(mat):
-    """rref of QQ rows, fraction-free: each row is scaled to integers, each
-    step r_i <- (p/g) r_i - (f/g) r_k with g = gcd(p, f) keeps it integral,
-    and its content is divided out.  Columns and pivots go in the same
-    order as in `rref`, zero rows are dropped as they appear, and each kept
-    row is divided by its pivot once at the end."""
+    """rref of rational rows, fraction-free: each row is scaled to integers,
+    each step r_i <- (p/g) r_i - (f/g) r_k with g = gcd(p, f) keeps it
+    integral, and its content is divided out.  Columns and pivots go in the
+    same order as in `rref`, zero rows are dropped as they appear, and each
+    kept row is divided by its pivot once at the end."""
     rows = []
     for row in mat:
-        nums = [a.numerator for a in row]
-        dens = [a.denominator for a in row]
-        den = lcm(*dens)
-        if den != 1:
-            nums = [a * (den // b) for a, b in zip(nums, dens)]
+        den = lcm(*(a.den for a in row))
+        nums = [a.nums[0] * (den // a.den) for a in row]
         nums = _primitive(nums)
         if nums is not None:
             rows.append(nums)
@@ -126,7 +127,9 @@ def _rref_rational(mat):
     ech = []
     for row, c in zip(rows, pivots):
         p = row[c]
-        ech.append([QQ(a, p) if a else QQ_ZERO for a in row])
+        if p < 0:
+            p, row = -p, [-a for a in row]
+        ech.append([_make(1, (a,), p) if a else CYC_ZERO for a in row])
     return ech, pivots
 
 
@@ -148,18 +151,17 @@ def rank(rows) -> int:
     return len(rref(rows)[0])
 
 
-def kernel_from_rref(ech, pivots, ncols, one=QQ_ONE):
+def kernel_from_rref(ech, pivots, ncols):
     """Right-kernel basis from an echelon form: one vector per free column,
-    with a `one` at the free column and minus the echelon entries at pivots.
+    with a one at the free column and minus the echelon entries at pivots.
     Canonical because the echelon form is."""
     pivset = set(pivots)
-    zero = one - one
     basis = []
     for j in range(ncols):
         if j in pivset:
             continue
-        v = [zero] * ncols
-        v[j] = one
+        v = [CYC_ZERO] * ncols
+        v[j] = CYC_ONE
         for i, p in enumerate(pivots):
             e = ech[i][j]
             if e:
@@ -168,9 +170,9 @@ def kernel_from_rref(ech, pivots, ncols, one=QQ_ONE):
     return basis
 
 
-def kernel_basis(rows, ncols, one=QQ_ONE):
+def kernel_basis(rows, ncols):
     ech, piv = rref(rows)
-    return kernel_from_rref(ech, piv, ncols, one)
+    return kernel_from_rref(ech, piv, ncols)
 
 
 def echelon_coordinates(ech, pivots, vec):
@@ -208,17 +210,12 @@ class SpanSolver:
         coeffs = echelon_coordinates(self.ech, self.pivots, vec)
         if coeffs is None:
             return None
-        m = len(self.rows)
-        out = [QQ_ZERO] * m
-        some = None
+        out = [CYC_ZERO] * len(self.rows)
         for c, trow in zip(coeffs, self.transform):
             if c:
-                for j in range(m):
-                    if trow[j]:
-                        out[j] = out[j] + c * trow[j]
-                        some = out[j]
-        if some is not None and isinstance(some, CycloScalar):
-            out = [CycloScalar.coerce(x) for x in out]
+                for j, t in enumerate(trow):
+                    if t:
+                        out[j] = out[j] + c * t
         return out
 
 
@@ -226,9 +223,9 @@ class SpanSolver:
 # matrix helpers (square, dense)
 
 
-def identity_matrix(n, one=QQ_ONE):
-    zero = one - one
-    return [[one if i == j else zero for j in range(n)] for i in range(n)]
+def identity_matrix(n):
+    return [[CYC_ONE if i == j else CYC_ZERO for j in range(n)]
+            for i in range(n)]
 
 
 def mat_mul(a, b):
@@ -265,26 +262,17 @@ def mat_vec(a, v):
 
 def mat_inv(a):
     n = len(a)
-    aug = [list(row) + list(ident) for row, ident in
-           zip(a, identity_matrix(n, _one_like(a)))]
+    aug = [list(row) + ident for row, ident in zip(a, identity_matrix(n))]
     ech, piv = rref(aug)
     if piv != list(range(n)):
         raise DomainError("matrix is singular")
     return [row[n:] for row in ech]
 
 
-def _one_like(a):
-    x = a[0][0]
-    if isinstance(x, CycloScalar):
-        return CycloScalar.rational(1)
-    return QQ_ONE
-
-
 def det(a):
     n = len(a)
-    mat = [list(r) for r in a]
-    one = _one_like(a)
-    result = one
+    mat = [_coerced(r) for r in a]
+    result = CYC_ONE
     sign = 1
     for c in range(n):
         k = None
@@ -293,13 +281,13 @@ def det(a):
                 k = i
                 break
         if k is None:
-            return one - one
+            return CYC_ZERO
         if k != c:
             mat[c], mat[k] = mat[k], mat[c]
             sign = -sign
         piv = mat[c][c]
         result = result * piv
-        inv = _inv(piv)
+        inv = piv.inv()
         row_c = [x * inv for x in mat[c]]
         mat[c] = row_c
         for i in range(c + 1, n):

@@ -3,8 +3,8 @@ and truncated series.
 
 Rationals (QQ) are gmpy2.mpq when available and fractions.Fraction
 otherwise; both expose numerator/denominator and the same operator surface,
-so nothing downstream cares which one is active.  QQ serves RatPoly,
-RatSeries and the raw-rational matrix rows of other modules.
+so nothing downstream cares which one is active.  QQ serves RatPoly and
+RatSeries; matrices hold CycloScalar entries only.
 
 A CycloScalar is an element of Q(zeta_n) stored as its coefficient vector on
 the power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
@@ -462,8 +462,13 @@ class CycloScalar:
     def __init__(self, order: int, coeffs):
         if order < 1:
             raise UsageError("conductor must be a positive integer")
-        phi = euler_phi(order)
         cs = [qq(c) for c in coeffs]
+        # phi(n) >= sqrt(n / 2), so a short list is rejected before the
+        # trial division in euler_phi, which a huge n would never finish
+        if 2 * len(cs) ** 2 < order:
+            raise UsageError("too few coefficients for conductor %d: got %d"
+                             % (order, len(cs)))
+        phi = euler_phi(order)
         if len(cs) != phi:
             raise UsageError(
                 "expected %d coefficients for conductor %d, got %d"

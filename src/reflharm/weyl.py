@@ -67,7 +67,7 @@ class TwistData:
 
     @staticmethod
     def split(dim: int) -> "TwistData":
-        return TwistData(identity_matrix(dim, CycloScalar.rational(1)))
+        return TwistData(identity_matrix(dim))
 
     @staticmethod
     def indicator(f0, element) -> "TwistData":

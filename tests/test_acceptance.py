@@ -50,8 +50,6 @@ from reflharm.rootdata import (
 from reflharm.scalars import CycloScalar, RatPoly, qq
 from reflharm.weyl import TwistData, count_split, count_twisted, f_classes, split_report
 
-ONE = CycloScalar.rational(1)
-
 
 def P(nvars, *terms, space=CONTRAVARIANT):
     out = MPoly.constant(space, nvars, 0)
@@ -421,7 +419,7 @@ def test_criterion_9_twisted_collapse_and_partition():
               "%s: identity twist does not reduce to the split count" % label)
 
         comp = complement_group(datum, sub)
-        f0 = identity_matrix(datum.rank, ONE)
+        f0 = identity_matrix(datum.rank)
         total = RatPoly([0])
         for cls in f_classes(comp, f0):
             rep = comp.element(min(cls))

@@ -345,10 +345,14 @@ _SWAP2 = [[0, 1], [1, 0]]
      {"generators": [[[{"order": 2, "coeffs": [-1.0]}]]]}),
     (("group", "--generators"),
      {"generators": [[[{"order": 1, "coeffs": [0.1]}]]]}),
+    # phi(n) cannot be 1 for this n, and factoring n would never finish
+    (("group", "--generators"),
+     {"generators": [[[{"order": 1000000000000000003, "coeffs": ["1"]}]]]}),
 ], ids=["generators-int", "matrix-int", "row-int", "entry-string",
         "order-string", "f0-int", "values-int", "indicator-int",
         "f0-string", "value-missing", "values-conflict", "entry-bool",
-        "f0-bool", "value-bool", "coeffs-float", "coeffs-float-inexact"])
+        "f0-bool", "value-bool", "coeffs-float", "coeffs-float-inexact",
+        "huge-order"])
 def test_malformed_matrix_json_is_usage_error(capsys, tmp_path, argv,
                                                payload):
     path = tmp_path / "input.json"

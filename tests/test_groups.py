@@ -126,7 +126,7 @@ def test_skewness_detects_a_wrong_hyperplane_row(name):
 
 def test_inverses_and_mul_index():
     g = catalog("gmpn:3:1:2")
-    ident = identity_matrix(g.dim, ONE)
+    ident = identity_matrix(g.dim)
     for i in range(g.order):
         assert mat_mul(g.element(i), g.inverse(i)) == ident
         j = g.inverse_index(i)
@@ -287,7 +287,7 @@ INDEX_CORE_GROUPS = ["weyl:A:3", "weyl:G2:2", "gmpn:3:1:3", "gmpn:4:2:3", "sub"]
 def test_index_core_matches_matrices(name):
     group = _index_core_group(name)
     els = group.elements
-    ident = identity_matrix(group.dim, ONE)
+    ident = identity_matrix(group.dim)
     if group.order <= 48:
         sample = range(group.order)
     else:
@@ -340,7 +340,7 @@ def test_hyperplane_order_is_pointwise_stabiliser(name):
     units = [tuple(1 if a == b else 0 for a in range(group.dim))
              for b in range(group.dim)]
     for pl in group.hyperplanes():
-        basis = kernel_basis([pl.form.coeff_vector(units)], group.dim, one=ONE)
+        basis = kernel_basis([pl.form.coeff_vector(units)], group.dim)
         fixing = sum(1 for g in group.elements
                      if all(mat_vec(g, v) == v for v in basis))
         assert pl.order == fixing, pl
@@ -358,7 +358,7 @@ def _matrix_key(mat):
 def _reference_closure(gens):
     """Breadth-first closure by CycloScalar matrix products, deduplicated by
     _matrix_key: (elements, right, parent, letter) in discovery order."""
-    ident = identity_matrix(len(gens[0]), ONE)
+    ident = identity_matrix(len(gens[0]))
     elements, index = [ident], {_matrix_key(ident): 0}
     right, parent, letter = [], [0], [None]
     for cursor, base in enumerate(elements):
@@ -420,7 +420,7 @@ def test_index_of_rejects_foreign_fields_and_shapes():
     z5 = CycloScalar.root_of_unity(5)
     assert g.index_of([[z5, 0], [0, 1]]) is None
     assert not g.contains_matrix([[z5, 0], [0, 1]])
-    assert g.index_of(identity_matrix(3, ONE)) is None
+    assert g.index_of(identity_matrix(3)) is None
     assert g.index_of([[1, 0], [0]]) is None
     assert g.index_of([[1]]) is None
 

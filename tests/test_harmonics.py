@@ -4,7 +4,7 @@ import pathlib
 
 import pytest
 
-from reflharm import harmonics
+from reflharm import harmonics, linalg
 from reflharm.errors import DomainError, UsageError, VerificationError
 from reflharm.groups import ReflectionGroup, catalog, registry_names
 from reflharm.harmonics import (
@@ -212,21 +212,36 @@ def test_harmonics_covariant_side():
 
 
 @pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
-def test_routes_agree_on_cyclotomic_rows(space):
+def test_routes_agree_on_cyclotomic_rows(monkeypatch, space):
     """weyl:B:2 conjugated by diag(1, zeta_3) has a non-rational skew
-    product and non-rational invariants, so both routes eliminate
-    cyclotomic rows rather than rational ones."""
+    product and non-rational invariants, so both routes send their rows
+    through the field loop of rref rather than the integer one."""
     b2 = catalog("weyl:B:2")
     zeta = CycloScalar.root_of_unity(3)
     zero = ONE * 0
     conj, conj_inv = [[ONE, zero], [zero, zeta]], [[ONE, zero], [zero, zeta.inv()]]
     group = ReflectionGroup([mat_mul(mat_mul(conj, g), conj_inv)
                              for g in b2.generators])
+    # group data first, so the spy sees only the routes' own rows
+    group.skew_contravariant()
+    group.skew_covariant()
+    for side in (CONTRAVARIANT, COVARIANT):
+        free_generators(group, side)
+    field_rows = []
+    real = linalg._rref_field
+
+    def spy(mat):
+        field_rows.append(len(mat))
+        return real(mat)
+
+    monkeypatch.setattr(linalg, "_rref_field", spy)
     H = harmonic_basis(group, "derivative", space)
+    assert field_rows
     top = H.basis(H.max_degree)[0]
     assert not all(c.is_rational() for c in top.terms.values())
-    assert not harmonics._operator_terms(group, space)[1]
+    field_rows.clear()
     assert H == harmonic_basis(group, "perp", space)
+    assert field_rows
     assert H.dimension() == 8
     assert H.poincare() == harmonic_basis(b2, "derivative", space).poincare()
 
@@ -413,6 +428,22 @@ def test_fixed_point_basis_matches_reynolds_average(space):
         fixed = fixed_point_basis(H, sub)
         assert fixed == _reynolds_fixed(H, sub), label
         assert fixed.dimension() == group.order // sub.order, label
+
+
+def test_rational_fixed_point_basis_inverts_no_scalar(monkeypatch):
+    """Every matrix of weyl:B:3 is rational, so its action matrices and
+    fixed-point kernels are eliminated on integers, with no field
+    inverse."""
+    b3 = catalog("weyl:B:3")
+    H = harmonic_basis(b3)
+    sub = b3.reflection_subgroup([0, 1])
+
+    def no_inverse(x):
+        raise AssertionError("a rational elimination inverted a scalar")
+
+    monkeypatch.setattr(CycloScalar, "inv", no_inverse)
+    fixed = fixed_point_basis(H, sub)
+    assert fixed.dimension() == b3.order // sub.order
 
 
 @pytest.mark.parametrize("preset", ["C2:long-A1A1", "C3:A1C2"])

@@ -133,7 +133,20 @@ def test_det_and_rref_over_cyclotomics():
     assert piv == [0, 1]
     assert ech[0][0] == 1 and ech[1][1] == 1
     inv = mat_inv(diag)
-    assert mat_mul(diag, inv) == identity_matrix(2, one)
+    assert mat_mul(diag, inv) == identity_matrix(2)
+
+
+def test_mat_inv_of_rational_cyclo_matrix_inverts_no_scalar(monkeypatch):
+    a = [[CycloScalar.rational(x) for x in row]
+         for row in ([2, 1, 0], [QQ(1, 3), 0, -1], [5, QQ(-1, 2), 4])]
+
+    def no_inverse(x):
+        raise AssertionError("a rational elimination inverted a scalar")
+
+    monkeypatch.setattr(CycloScalar, "inv", no_inverse)
+    inv = mat_inv(a)
+    assert mat_mul(a, inv) == identity_matrix(3)
+    assert all(isinstance(x, CycloScalar) for row in inv for x in row)
 
 
 # Property tests: small rational matrices, few examples, so they stay fast.
@@ -193,8 +206,8 @@ def test_span_solver_none_outside_span(data):
     assert solver.contains(vec) == inside
 
 
-# Rational rows are eliminated on integers; the CycloScalar loop is the
-# reference they must agree with.
+# Rational rows are eliminated on integers; the field loop is the reference
+# they must agree with.
 
 _fractions = st.one_of(st.just(QQ(0)),
                        st.builds(QQ, st.integers(-6, 6), st.integers(1, 12)))
@@ -221,12 +234,26 @@ def _rational_rows(draw):
 @example([[QQ(0), QQ(0)], [QQ(1, 2), QQ(-1, 3)], [QQ(1, 2), QQ(-1, 3)]])
 @example([[QQ(1, 12), QQ(5, 7)], [QQ(3), QQ(0)], [QQ(0), QQ(1)]])
 def test_rational_rref_matches_cyclotomic_loop(rows):
-    ech, piv = rref(rows)
-    want, want_piv = rref([[CycloScalar.rational(a) for a in row]
-                           for row in rows])
+    cyclo = [[CycloScalar.rational(a) for a in row] for row in rows]
+    ech, piv = rref(cyclo)
+    want, want_piv = linalg._rref_field([list(row) for row in cyclo])
     assert piv == want_piv
-    assert ech == [[a.as_rational() for a in row] for row in want]
-    assert all(isinstance(a, QQ) for row in ech for a in row)
+    assert ech == want
+    assert rref(rows) == (ech, piv)
+
+
+def test_rational_values_at_any_conductor_take_the_integer_path(monkeypatch):
+    rows = [[QQ(1, 2), QQ(-1, 3), QQ(0)], [QQ(-2), QQ(5), QQ(1, 7)]]
+    want = rref(rows)
+    assert all(a.order == 1 and a.den > 0 for row in want[0] for a in row)
+    promoted = [[CycloScalar.rational(a).promote(12) for a in row]
+                for row in rows]
+
+    def no_field_loop(mat):
+        raise AssertionError("rational values reached the field loop")
+
+    monkeypatch.setattr(linalg, "_rref_field", no_field_loop)
+    assert rref(promoted) == want
 
 
 def test_rref_of_mixed_rational_and_cyclotomic_entries():
@@ -238,7 +265,7 @@ def test_rref_of_mixed_rational_and_cyclotomic_entries():
     assert rref(rows) == want
     assert want[1] == [0, 1]
     assert want[0][0] == [1, 0, zeta * zeta, 0]
-    # the QQ identity block appended to cyclotomic rows
+    # the identity block appended to rows holding raw rationals
     ech, piv, trans = rref_with_transform(rows)
     assert (ech, piv) == want
     assert mat_mul(trans, rows) == ech
@@ -250,18 +277,17 @@ _REFERENCE = pathlib.Path(__file__).parents[1] / "bench" / "reference.json"
 @pytest.mark.parametrize("name", ["weyl:A:4", "weyl:D:4"])
 def test_rational_derivative_route_avoids_the_cyclotomic_loop(monkeypatch,
                                                               name):
-    """The CycloScalar loop inverts every pivot other than 1 through `_inv`;
-    with it disabled the rational derivative route must still give the perp
-    basis, whose digest the benchmark reference stores (in the layout of
-    `reflharm harmonics`)."""
+    """With the field loop of `rref` disabled the rational derivative route
+    must still give the perp basis, whose digest the benchmark reference
+    stores (in the layout of `reflharm harmonics`)."""
     stored = json.loads(_REFERENCE.read_text())
     group = catalog(name)
     group.skew_contravariant()      # reflections: ranks of CycloScalar rows
 
-    def no_inverse(x):
-        raise AssertionError("rational rows reached the CycloScalar loop")
+    def no_field_loop(mat):
+        raise AssertionError("rational rows reached the field loop")
 
-    monkeypatch.setattr(linalg, "_inv", no_inverse)
+    monkeypatch.setattr(linalg, "_rref_field", no_field_loop)
     basis = harmonic_basis(group, "derivative")
     text = json.dumps({"dimension": basis.dimension(),
                        "degrees": {str(d): [p.to_json() for p in basis.basis(d)]
