@@ -1,16 +1,20 @@
 """Tensor factorisation of harmonics along a reflection subgroup.
 
-The central map multiplies a subgroup harmonic by a subgroup-fixed harmonic
-of the big group and projects the product back onto the harmonic space.
-Degree by degree this assembles to a linear isomorphism
+The central map sends a subgroup harmonic h' and a subgroup-fixed harmonic
+k of the big group to the harmonic part of h'k.  Degree by degree this
+assembles to a linear isomorphism
 
     H(G') (x) H(G)^{G'}  ->  H(G)
 
-kept as one coordinate matrix M_ij per bidegree (i, j) on the H(G) basis.
-verify_factorisation reads full rank off M_ij, together with the identity
-dim H(G)^{G'} = |G|/|G'| and the Poincare factorisation; equivariance_check
-tests M_ij against action matrices.  A dual route realises the same map
-through differentiation of the skew product; xi_dual_compare records the
+kept as one coordinate matrix M_ij per bidegree (i, j) and variable side
+on the H(G) basis, each built on first use by projecting the products of
+the basis polynomials, so a pair makes |G| projections per side.  The map
+is bilinear, so everything else reads M_ij: xi_apply takes (c_i(h') (x)
+c_j(k)) M_ij from the coordinates of its factors; verify_factorisation
+reads full rank off M_ij, together with the identity dim H(G)^{G'} =
+|G|/|G'| and the Poincare factorisation; equivariance_check tests M_ij
+against action matrices.  A dual route realises the same map through
+differentiation of the skew product; xi_dual_compare records the
 proportionality scalar between the routes per basis pair instead of
 forcing equality, since some pairs differ by a nonzero constant.
 """
@@ -36,6 +40,7 @@ from .linalg import echelon_coordinates, mat_inv, mat_mul, rref
 from .mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix, diff_apply
 from .scalars import CycloScalar
 
+_ZERO = CycloScalar.rational(0)
 _PAIR_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -67,51 +72,91 @@ def _coords(basis: GradedBasis, d: int, poly: MPoly):
     return echelon_coordinates(ech, pivots, poly.coeff_vector(monos))
 
 
-def _graded_member(basis: GradedBasis, poly: MPoly) -> bool:
-    """Whether poly lies in the span of an echelon graded basis."""
+def _graded_coords(basis: GradedBasis, poly: MPoly):
+    """poly's coordinates on an echelon graded basis as sorted (degree,
+    coordinates) pairs, or None when poly lies outside its span."""
     if poly.nvars != basis.nvars or poly.space != basis.space:
-        return False
+        return None
+    out = []
     for d, part in by_degree(poly):
-        if _coords(basis, d, part) is None:
-            return False
-    return True
+        coords = _coords(basis, d, part)
+        if coords is None:
+            return None
+        out.append((d, coords))
+    return out
 
 
 def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
              hprime: MPoly, k: MPoly) -> MPoly:
-    """Project hprime*k onto the harmonic space of the big group.
+    """The harmonic part of hprime*k in the big group's harmonic space.
 
     hprime must lie in the subgroup's harmonic space and k in the
     subgroup-fixed part of the big group's harmonics, both checked against
-    the stored echelon bases.
+    the stored echelon bases.  The map is bilinear, so the image is read
+    off the coordinate matrices of _mu: sum over bidegrees (i, j) of
+    (c_i(hprime) (x) c_j(k)) M_ij on the H(G) basis of degree i + j, with
+    no polynomial product and no projection.
     """
     ctx = _pair_ctx(group, subgroup)
     space = hprime.space
     if k.space != space:
         raise UsageError("tensor factors live in different variable sides")
-    if not _graded_member(harmonic_basis(subgroup, space=space), hprime):
+    h_parts = _graded_coords(harmonic_basis(subgroup, space=space), hprime)
+    if h_parts is None:
         raise UsageError("first factor is not a subgroup harmonic")
-    if not _graded_member(_fixed_harmonics(ctx, group, subgroup, space), k):
+    k_parts = _graded_coords(_fixed_harmonics(ctx, group, subgroup, space), k)
+    if k_parts is None:
         raise UsageError("second factor is not a subgroup-fixed harmonic")
-    h, _ = project_to_H(group, hprime * k)
-    return h
+    bigH = harmonic_basis(group, space=space)
+    image = {}
+    for i, ch in h_parts:
+        for j, ck in k_parts:
+            block = _mu_block(ctx, group, subgroup, space, i, j)
+            image[i + j] = _combine(
+                image.get(i + j, [_ZERO] * bigH.dim(i + j)),
+                (x * y if x and y else _ZERO
+                 for x, y in itertools.product(ch, ck)), block)
+    out = MPoly.zero(space, group.dim)
+    for d, coords in image.items():
+        monos, vecs, _ = bigH.piece(d)
+        out = out + MPoly.from_vector(
+            space, monos, _combine([_ZERO] * len(monos), coords, vecs))
+    return out
+
+
+def _combine(acc, coeffs, rows):
+    """acc plus the combination of rows with the given coefficients."""
+    for c, row in zip(coeffs, rows):
+        if c:
+            acc = [a + c * b if b else a for a, b in zip(acc, row)]
+    return acc
+
+
+def _mu_block(ctx, group, subgroup, space, i, j):
+    """The coordinate matrix M_ij of the map on the basis tensors of
+    bidegree (i, j) on one variable side, built on first use and kept in
+    the pair context: row a * dim K_j + b holds the _coords on H(G) in
+    degree i + j of the harmonic part of h'_a * k_b.  The factors are the
+    basis polynomials, so the membership checks of xi_apply are skipped."""
+    blocks = ctx.setdefault(("mu", space), {})
+    block = blocks.get((i, j))
+    if block is None:
+        subH = harmonic_basis(subgroup, space=space)
+        fixed = _fixed_harmonics(ctx, group, subgroup, space)
+        bigH = harmonic_basis(group, space=space)
+        block = blocks[(i, j)] = [
+            _coords(bigH, i + j, project_to_H(group, hp * k)[0])
+            for hp in subH.basis(i) for k in fixed.basis(j)]
+    return block
 
 
 def _mu(ctx, group, subgroup):
-    """The map on every contravariant basis tensor, once per pair, as
-    {(deg h', deg k): M}, degrees ascending: row a * dim K_j + b of M holds
-    the _coords on H(G) in degree i + j of the harmonic part of h'_a * k_b.
-    The factors are the basis polynomials, so the membership checks of
-    xi_apply are skipped."""
-    if "mu" not in ctx:
-        subH = harmonic_basis(subgroup)
-        fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
-        bigH = harmonic_basis(group)
-        ctx["mu"] = {
-            (i, j): [_coords(bigH, i + j, project_to_H(group, hp * k)[0])
-                     for hp in subH.basis(i) for k in fixed.basis(j)]
+    """Every contravariant block M_ij as {(deg h', deg k): M}, degrees
+    ascending."""
+    subH = harmonic_basis(subgroup)
+    fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
+    return {(i, j): _mu_block(ctx, group, subgroup, CONTRAVARIANT, i, j)
             for i in sorted(subH.degrees) for j in sorted(fixed.degrees)}
-    return ctx["mu"]
 
 
 class FactorisationReport:

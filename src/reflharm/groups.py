@@ -481,9 +481,18 @@ def _normalise_form(coeffs):
 # catalog
 
 
+def _check_cap(order: int, cap: int):
+    """Refuse a catalog group whose known order is above the closure cap
+    before any root of unity is built: the power table of zeta_m has m
+    rows, so a huge m would never get to the closure's own check."""
+    if order > cap:
+        raise CapError("group closure exceeded cap of %d elements" % cap)
+
+
 def cyclic_group(e: int, cap: int = DEFAULT_CLOSURE_CAP) -> ReflectionGroup:
     if e < 1:
         raise UsageError("cyclic order must be positive")
+    _check_cap(e, cap)
     z = CycloScalar.root_of_unity(e)
     return ReflectionGroup([[[z]]], cap=cap, name="cyclic:%d" % e)
 
@@ -493,6 +502,13 @@ def gmpn_group(m: int, p: int, n: int, cap: int = DEFAULT_CLOSURE_CAP) -> Reflec
     entry product in <zeta_m^p>.  Order m^n n! / p."""
     if m < 1 or n < 1 or p < 1 or m % p:
         raise UsageError("need p | m and positive m, p, n")
+    # m^n n! as the product of m * k over k = 1..n, checked as it grows, so
+    # that a huge n is refused as fast as a huge m
+    expect = 1
+    for k in range(1, n + 1):
+        expect *= m * k
+        _check_cap(expect // p, cap)
+    expect //= p
     z = CycloScalar.root_of_unity(m)
     gens = []
     for i in range(n - 1):
@@ -513,7 +529,6 @@ def gmpn_group(m: int, p: int, n: int, cap: int = DEFAULT_CLOSURE_CAP) -> Reflec
     if not gens:
         gens = [identity_matrix(n)]
     grp = ReflectionGroup(gens, cap=cap, name="gmpn:%d:%d:%d" % (m, p, n))
-    expect = m ** n * math.factorial(n) // p
     if grp.order != expect:
         raise DomainError("G(%d,%d,%d) closure has order %d, expected %d"
                           % (m, p, n, grp.order, expect))

@@ -13,9 +13,10 @@ The module computes, exactly:
     derivatives of H_(d+1)) and the cross-check "perp" (joint kernel of
     the invariant operators);
   * on the echelon pieces of a GradedBasis, each derived once, the matrix
-    of a linear map (coordinates are the entries at the pivot columns) and
-    the fixed points of a subgroup (the common left kernel of g - Id over
-    its generators);
+    of a linear map (each monomial of the piece substituted once, the
+    basis rows combined from those images and read at the pivot columns)
+    and the fixed points of a subgroup (the common left kernel of g - Id
+    over its generators);
   * the projection S_d = H_d + F_d through the Gram matrix of the pairing
     of H_d with the opposite-side H'_d, whose annihilator is F_d;
   * for the cross-checks only: the Reynolds (averaging) projection, echelon
@@ -703,19 +704,88 @@ def action_matrix(graded: GradedBasis, d: int, mat):
     """Matrix of a linear map on the degree-d piece of `graded`: row i
     holds the coordinates of the image of its i-th basis polynomial, which
     are the entries at the piece's pivot columns.  Raises a diagnostic
-    error when an image leaves the piece."""
+    error when an image leaves the piece.
+
+    The map substitutes a linear form for each variable (the rows of
+    mat^-1 on S(V*), the columns of mat on S(V)); the matrix is inverted
+    once, and each monomial the piece uses is sent through the
+    substitution once, so the basis rows only combine those images."""
     monos, ech, pivots = graded.piece(d)
-    mat_inverse = None
+    n = graded.nvars
+    mat = coerce_matrix(mat)
+    if len(mat) != n or any(len(row) != n for row in mat):
+        raise UsageError("matrix size does not match variable count")
     if graded.space == CONTRAVARIANT:
-        mat_inverse = mat_inv(coerce_matrix(mat))
+        sub = mat_inv(mat)
+    else:
+        sub = [list(col) for col in zip(*mat)]
+    image = _monomial_images(sub)
     rows = []
-    for p in graded.basis(d):
+    for vec in ech:
+        total = {}
+        for exps, c in zip(monos, vec):
+            if c:
+                for m, v in image(exps).items():
+                    v = c if v is _ONE else c * v
+                    prev = total.get(m)
+                    total[m] = v if prev is None else prev + v
         coords = echelon_coordinates(
-            ech, pivots, p.act(mat, mat_inverse).coeff_vector(monos))
+            ech, pivots, [total.get(m, _ZERO) for m in monos])
         if coords is None:
             raise VerificationError("action leaves the spanned subspace")
         rows.append(coords)
     return rows
+
+
+def _monomial_images(sub):
+    """The image of a monomial X^e under X_i -> sum_j sub[i][j] X_j, as a
+    memoised function of e returning {exponents: coefficient}.  A monomial
+    matrix sends X^e to one monomial, permuted, times cached powers of its
+    scalars; otherwise img(e) = img(e - e_i) * (row i of sub) for the first
+    variable i of e."""
+    n = len(sub)
+    memo = {}
+    shape = _monomial_shape(sub)
+    if shape is not None:
+        sigma, scalars = shape
+        # powers[i][e] = scalars[i]^e, with every power equal to one kept
+        # as _ONE itself, so that the products below can skip it
+        powers = [[_ONE] for _ in range(n)]
+
+        def image(exps):
+            got = memo.get(exps)
+            if got is None:
+                target = [0] * n
+                coeff = _ONE
+                for i, e in enumerate(exps):
+                    if e:
+                        target[sigma[i]] = e
+                        pw = powers[i]
+                        while len(pw) <= e:
+                            p = pw[-1] * scalars[i]
+                            pw.append(_ONE if p == 1 else p)
+                        if pw[e] is not _ONE:
+                            coeff = pw[e] if coeff is _ONE else coeff * pw[e]
+                got = memo[exps] = {tuple(target): coeff}
+            return got
+        return image
+
+    forms = [[(j, v) for j, v in enumerate(row) if v] for row in sub]
+    memo[(0,) * n] = {(0,) * n: _ONE}
+
+    def image(exps):
+        got = memo.get(exps)
+        if got is None:
+            i = next(i for i, e in enumerate(exps) if e)
+            acc = {}
+            for m, c in image(exps[:i] + (exps[i] - 1,) + exps[i + 1:]).items():
+                for j, v in forms[i]:
+                    t = m[:j] + (m[j] + 1,) + m[j + 1:]
+                    prev = acc.get(t)
+                    acc[t] = c * v if prev is None else prev + c * v
+            got = memo[exps] = {t: c for t, c in acc.items() if c}
+        return got
+    return image
 
 
 def action_trace(graded: GradedBasis, d: int, mat) -> CycloScalar:

@@ -178,14 +178,21 @@ def kernel_basis(rows, ncols):
 def echelon_coordinates(ech, pivots, vec):
     """Coordinates of vec in the row span of a reduced echelon form: its
     entries at the pivot columns, or None when the residual vec minus that
-    combination of rows does not vanish (vec is outside the span)."""
+    combination of rows does not vanish (vec is outside the span).  The
+    residual is zero at the pivot columns by construction, so only the
+    other columns are checked."""
     coeffs = [vec[p] for p in pivots]
-    residual = list(vec)
-    for c, row in zip(coeffs, ech):
-        if c:
-            residual = [a - c * b if b else a for a, b in zip(residual, row)]
-    if any(residual):
-        return None
+    live = [(c, row) for c, row in zip(coeffs, ech) if c]
+    pivset = set(pivots)
+    for j, a in enumerate(vec):
+        if j in pivset:
+            continue
+        for c, row in live:
+            b = row[j]
+            if b:
+                a = a - c * b
+        if a:
+            return None
     return coeffs
 
 

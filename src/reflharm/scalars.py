@@ -595,10 +595,14 @@ class CycloScalar:
         return (-self) + other
 
     def __mul__(self, other):
-        try:
-            other = CycloScalar.coerce(other)
-        except UsageError:
-            return NotImplemented
+        if type(other) is not CycloScalar:
+            if type(other) is int:
+                return _make(self.order, [x * other for x in self.nums],
+                             self.den)
+            try:
+                other = CycloScalar.coerce(other)
+            except UsageError:
+                return NotImplemented
         den = self.den * other.den
         if other.order == 1:
             c = other.nums[0]

@@ -77,6 +77,20 @@ def test_group_cap_exit(capsys):
     assert "cap" in err
 
 
+@pytest.mark.parametrize("name", ["cyclic:10001", "gmpn:30000:1:1",
+                                  "gmpn:2:1:1000000000",
+                                  "cyclic:1000000000000000003"])
+def test_catalog_group_over_cap_exits_at_once(name):
+    # the known order is checked before any root of unity is built; in a
+    # child process, so that a regression fails on the time bound instead
+    # of stalling the suite
+    proc = subprocess.run(
+        [sys.executable, "-m", "reflharm", "group", "--catalog", name],
+        capture_output=True, text=True, timeout=10)
+    assert proc.returncode == 2
+    assert "cap of 10000" in proc.stderr
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "C2", "long-A1A1", "--max-degree", "3"),
     ("fake-degrees", "--catalog", "weyl:B:2", "--max-degree", "1"),

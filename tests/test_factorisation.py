@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import pytest
 
@@ -16,7 +17,7 @@ from reflharm.factorisation import (
     xi_dual_compare,
 )
 from reflharm.groups import catalog
-from reflharm.harmonics import harmonic_basis
+from reflharm.harmonics import harmonic_basis, project_to_H
 from reflharm.linalg import mat_inv
 from reflharm.mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix
 from reflharm.scalars import CycloScalar, RatPoly, qq
@@ -63,6 +64,46 @@ def test_xi_apply_membership_errors():
         xi_apply(b2, sub, P(2, ((1, 0), 1)), P(2, ((1, 1), 1)))  # XY not fixed
     with pytest.raises(UsageError):
         xi_apply(b2, sub, P(2, ((1, 0), 1), space=COVARIANT), k)
+    # one part of a sum across degrees outside the space is enough
+    with pytest.raises(UsageError):
+        xi_apply(b2, sub, P(2, ((1, 0), 1), ((2, 0), 1)), k)
+    with pytest.raises(UsageError):
+        xi_apply(b2, sub, P(2, ((1, 0), 1)), k + P(2, ((1, 0), 1)))
+    with pytest.raises(UsageError):
+        xi_apply(b2, sub, P(3, ((1, 0, 0), 1)), P(3, ((0, 0, 0), 1)))
+
+
+def _mixed_sum(basis, seed):
+    """A combination of basis polynomials across every degree of a graded
+    basis, with small integer coefficients."""
+    rng = random.Random(seed)
+    total = MPoly.zero(basis.space, basis.nvars)
+    for d in sorted(basis.degrees):
+        for p in basis.basis(d):
+            total = total + p.scale(rng.randint(-2, 2))
+    return total
+
+
+@pytest.mark.parametrize("name,picks", [("weyl:B:3", [0, 1]),
+                                        ("weyl:A:3", [0, 1]),
+                                        ("gmpn:3:1:2", [0, 5])])
+def test_xi_apply_matches_projection_oracle(name, picks):
+    # the coordinate matrices against the projection of the product, on
+    # sums across degrees and on single basis tensors, on both variable
+    # sides of one pair
+    group, sub = _pair(name, picks)
+    ctx = factorisation._pair_ctx(group, sub)
+    for space in (CONTRAVARIANT, COVARIANT):
+        subH = harmonic_basis(sub, space=space)
+        fixed = factorisation._fixed_harmonics(ctx, group, sub, space)
+        cases = [(_mixed_sum(subH, seed), _mixed_sum(fixed, seed + 1))
+                 for seed in range(3)]
+        cases += [(subH.basis(i)[-1], fixed.basis(j)[0])
+                  for i in sorted(subH.degrees)
+                  for j in sorted(fixed.degrees)]
+        for hp, k in cases:
+            assert xi_apply(group, sub, hp, k) == \
+                project_to_H(group, hp * k)[0]
 
 
 def test_xi_apply_cyclic_is_multiplication():
@@ -95,7 +136,8 @@ def test_verify_factorisation_b2():
 
 
 def test_verify_factorisation_evaluates_each_tensor_once(monkeypatch):
-    # |G| basis tensors and |G| dual pairs; equivariance projects nothing
+    # one projection per basis tensor: the dual pairs and the equivariance
+    # checks read the coordinate matrices and project nothing
     b2, sub = b2_pair()
     calls = []
     real = factorisation.project_to_H
@@ -106,7 +148,7 @@ def test_verify_factorisation_evaluates_each_tensor_once(monkeypatch):
 
     monkeypatch.setattr(factorisation, "project_to_H", counting)
     rep = verify_factorisation(b2, sub)
-    assert len(calls) == 2 * b2.order
+    assert len(calls) == b2.order
 
 
 def test_verify_factorisation_extreme_subgroups():
@@ -160,7 +202,7 @@ def test_d_map():
 
 
 def test_d_map_is_degree_reversing_bijection():
-    from reflharm.harmonics import harmonic_basis
+    from reflharm.harmonics import harmonic_basis, project_to_H
     from reflharm.linalg import rref
     from reflharm.mpoly import monomials_of_degree
 
@@ -239,7 +281,8 @@ def _pair(name, picks):
 def _per_tensor_check(group, subgroup, mat, mu):
     """Equivariance tensor by tensor: xi(n.h' (x) n.k) equals
     n.xi(h' (x) k) on every basis tensor, with each image xi(h' (x) k)
-    read back from its row of the coordinate matrices mu."""
+    read back from its row of the coordinate matrices mu and each moved
+    tensor projected afresh, so that mu is not read on both sides."""
     inv = mat_inv(coerce_matrix(mat))
     ctx = factorisation._pair_ctx(group, subgroup)
     subH = harmonic_basis(subgroup)
@@ -252,8 +295,7 @@ def _per_tensor_check(group, subgroup, mat, mu):
             image = MPoly.zero(CONTRAVARIANT, group.dim)
             for c, b in zip(row, bigH.basis(i + j)):
                 image = image + b.scale(c)
-            moved = xi_apply(group, subgroup, hp.act(mat, inv),
-                             k.act(mat, inv))
+            moved = project_to_H(group, hp.act(mat, inv) * k.act(mat, inv))[0]
             if moved != image.act(mat, inv):
                 return False
     return True
@@ -288,27 +330,15 @@ def test_equivariance_check_detects_a_corrupted_coordinate():
 
 
 def test_equivariance_check_moves_and_projects_no_tensor(monkeypatch):
+    # the action matrices come from images of monomials, so no polynomial
+    # is moved by MPoly.act either
     group, sub = _pair("weyl:B:3", [0, 1])
     verify_factorisation(group, sub)
-    inside = []
-    real_action, real_act = factorisation.action_matrix, MPoly.act
-
-    def action(*args):
-        inside.append(True)
-        try:
-            return real_action(*args)
-        finally:
-            inside.pop()
-
-    def act(self, *args):
-        assert inside, "MPoly.act outside action_matrix"
-        return real_act(self, *args)
 
     def forbidden(*args):
         raise AssertionError("a tensor was evaluated again")
 
-    monkeypatch.setattr(factorisation, "action_matrix", action)
-    monkeypatch.setattr(MPoly, "act", act)
+    monkeypatch.setattr(MPoly, "act", forbidden)
     monkeypatch.setattr(factorisation, "xi_apply", forbidden)
     monkeypatch.setattr(factorisation, "project_to_H", forbidden)
     for _, mat in factorisation._builtin_normalizers(group, sub):

@@ -20,11 +20,13 @@ from reflharm.harmonics import (
     project_to_H,
     reynolds,
 )
-from reflharm.linalg import SpanSolver, mat_inv, mat_mul, rref
+from reflharm.linalg import (SpanSolver, echelon_coordinates, mat_inv, mat_mul,
+                             rref)
 from reflharm.mpoly import (
     CONTRAVARIANT,
     COVARIANT,
     MPoly,
+    coerce_matrix,
     diff_apply,
     monomials_of_degree,
 )
@@ -493,6 +495,54 @@ def test_action_matrix():
     Hc = harmonic_basis(b2, space=COVARIANT)
     assert action_matrix(Hc, 1, shear) == [[ONE, ONE * 0], [ONE, ONE]]
     assert action_matrix(Hc, 1, swap) == mat
+
+
+def _action_matrix_by_act(graded, d, mat):
+    """The per-polynomial route, kept as the oracle: MPoly.act on every
+    basis polynomial of the piece, read at the pivot columns."""
+    monos, ech, pivots = graded.piece(d)
+    inverse = None
+    if graded.space == CONTRAVARIANT:
+        inverse = mat_inv(coerce_matrix(mat))
+    rows = []
+    for p in graded.basis(d):
+        coords = echelon_coordinates(
+            ech, pivots, p.act(mat, inverse).coeff_vector(monos))
+        if coords is None:
+            raise VerificationError("action leaves the spanned subspace")
+        rows.append(coords)
+    return rows
+
+
+def _action_outcome(route, graded, d, mat):
+    try:
+        return route(graded, d, mat)
+    except VerificationError:
+        return "leaves the piece"
+
+
+@pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
+@pytest.mark.parametrize("name", ["weyl:B:3", "weyl:A:3", "gmpn:3:1:3"])
+def test_action_matrix_matches_per_polynomial_oracle(name, space):
+    # B3 acts by signed permutations, G(3,1,3) by monomials over
+    # Q(zeta_3); no reflection of A3 (simple-root coordinates) is monomial
+    group = catalog(name)
+    graded = harmonic_basis(group, space=space)
+    mats = list(group.generators)
+    mats += [group.elements[i * group.order // 5] for i in range(1, 5)]
+    for g in mats:
+        for d in sorted(graded.degrees):
+            assert action_matrix(graded, d, g) == \
+                _action_matrix_by_act(graded, d, g)
+    # a shear normalises none of them: both routes refuse the same pieces,
+    # and at least one
+    shear = [[ONE if j in (i, i + 1) else ONE * 0 for j in range(group.dim)]
+             for i in range(group.dim)]
+    outcomes = [(_action_outcome(action_matrix, graded, d, shear),
+                 _action_outcome(_action_matrix_by_act, graded, d, shear))
+                for d in sorted(graded.degrees)]
+    assert all(new == old for new, old in outcomes)
+    assert any(new == "leaves the piece" for new, _ in outcomes)
 
 
 @pytest.mark.parametrize("basis", [

@@ -476,6 +476,17 @@ def test_inverse_is_two_sided(a):
 
 
 @settings(max_examples=60, deadline=None)
+@given(_scalars(), st.integers(-50, 50))
+def test_mul_by_int_matches_mul_by_rational(a, k):
+    # the int shortcut gives the very representation of the general path
+    want = a * CycloScalar.rational(k)
+    for got in (a * k, k * a):
+        _assert_canonical(got)
+        assert (got.order, got.nums, got.den) == (
+            want.order, want.nums, want.den)
+
+
+@settings(max_examples=60, deadline=None)
 @given(_scalars(), _scalars())
 def test_conj_is_a_multiplicative_involution(a, b):
     assert a.conj().conj() == a
