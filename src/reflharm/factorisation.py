@@ -36,7 +36,8 @@ from .harmonics import (
     invariant_degrees,
     project_to_H,
 )
-from .linalg import echelon_coordinates, mat_inv, mat_mul, rref
+from .linalg import (echelon_coordinates, kron_vec, mat_inv, mat_mul, rref,
+                     vec_mat)
 from .mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix, diff_apply
 from .scalars import CycloScalar
 
@@ -112,24 +113,15 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
     for i, ch in h_parts:
         for j, ck in k_parts:
             block = _mu_block(ctx, group, subgroup, space, i, j)
-            image[i + j] = _combine(
-                image.get(i + j, [_ZERO] * bigH.dim(i + j)),
-                (x * y if x and y else _ZERO
-                 for x, y in itertools.product(ch, ck)), block)
+            image[i + j] = vec_mat(
+                kron_vec(ch, ck), block,
+                image.get(i + j, [_ZERO] * bigH.dim(i + j)))
     out = MPoly.zero(space, group.dim)
     for d, coords in image.items():
         monos, vecs, _ = bigH.piece(d)
         out = out + MPoly.from_vector(
-            space, monos, _combine([_ZERO] * len(monos), coords, vecs))
+            space, monos, vec_mat(coords, vecs, [_ZERO] * len(monos)))
     return out
-
-
-def _combine(acc, coeffs, rows):
-    """acc plus the combination of rows with the given coefficients."""
-    for c, row in zip(coeffs, rows):
-        if c:
-            acc = [a + c * b if b else a for a, b in zip(acc, row)]
-    return acc
 
 
 def _mu_block(ctx, group, subgroup, space, i, j):
@@ -313,8 +305,7 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
     fix_act = {j: action_matrix(fixed, j, mat) for j in fixed.degrees}
     big_act = {d: action_matrix(bigH, d, mat) for d in {i + j for i, j in mu}}
     for (i, j), m in mu.items():
-        kron = [[x * y for x in ra for y in rb]
-                for ra in sub_act[i] for rb in fix_act[j]]
+        kron = [kron_vec(ra, rb) for ra in sub_act[i] for rb in fix_act[j]]
         if mat_mul(kron, m) != mat_mul(m, big_act[i + j]):
             return False
     return True

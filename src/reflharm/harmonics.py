@@ -50,15 +50,15 @@ from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
     MPoly,
+    _monomial_image,
     _monomial_shape,
     coerce_matrix,
     monomials_of_degree,
     pairing,
 )
-from .scalars import QQ, CycloScalar, RatPoly, RatSeries
+from .scalars import CYC_ONE, CYC_ZERO, QQ, CycloScalar, RatPoly, RatSeries
 
-_ZERO = CycloScalar.rational(0)
-_ONE = CycloScalar.rational(1)
+_ZERO, _ONE = CYC_ZERO, CYC_ONE
 
 
 def _opposite(space: str) -> str:
@@ -719,16 +719,20 @@ def action_matrix(graded: GradedBasis, d: int, mat):
         sub = mat_inv(mat)
     else:
         sub = [list(col) for col in zip(*mat)]
-    image = _monomial_images(sub)
+    totals = [{} for _ in ech]
+    # each monomial the piece uses, with the rows it enters and its
+    # coefficient there
+    uses = [(m, [(total, c) for total, c in zip(totals, col) if c])
+            for m, col in zip(monos, zip(*ech))]
+    uses = [u for u in uses if u[1]]
+    for t, image in _monomial_images(sub, [m for m, _ in uses]):
+        for total, c in uses[t][1]:
+            for m, v in image.items():
+                v = c if v is _ONE else c * v
+                prev = total.get(m)
+                total[m] = v if prev is None else prev + v
     rows = []
-    for vec in ech:
-        total = {}
-        for exps, c in zip(monos, vec):
-            if c:
-                for m, v in image(exps).items():
-                    v = c if v is _ONE else c * v
-                    prev = total.get(m)
-                    total[m] = v if prev is None else prev + v
+    for total in totals:
         coords = echelon_coordinates(
             ech, pivots, [total.get(m, _ZERO) for m in monos])
         if coords is None:
@@ -737,55 +741,57 @@ def action_matrix(graded: GradedBasis, d: int, mat):
     return rows
 
 
-def _monomial_images(sub):
-    """The image of a monomial X^e under X_i -> sum_j sub[i][j] X_j, as a
-    memoised function of e returning {exponents: coefficient}.  A monomial
-    matrix sends X^e to one monomial, permuted, times cached powers of its
-    scalars; otherwise img(e) = img(e - e_i) * (row i of sub) for the first
-    variable i of e."""
-    n = len(sub)
-    memo = {}
+def _monomial_images(sub, targets):
+    """Yield (t, image of X^targets[t]) for every exponent tuple in
+    `targets`, all of one degree, under X_i -> sum_j sub[i][j] X_j; images
+    are {exponents: coefficient}, and a coefficient equal to one may be
+    _ONE itself, so callers can skip the product.
+
+    A monomial substitution sends each monomial to one term
+    (mpoly._monomial_image).  Otherwise a monomial is read as its sorted
+    sequence of variables (i_1 <= ... <= i_d), and its image as
+    img(i_2 ... i_d) * (row i_1 of sub), so the monomials needed are the
+    suffixes of the targets' sequences.  They are visited depth first, so
+    each image is computed once and only the images on the current path
+    are held."""
     shape = _monomial_shape(sub)
     if shape is not None:
-        sigma, scalars = shape
-        # powers[i][e] = scalars[i]^e, with every power equal to one kept
-        # as _ONE itself, so that the products below can skip it
-        powers = [[_ONE] for _ in range(n)]
+        image = _monomial_image(shape)
+        for t, e in enumerate(targets):
+            m, c = image(e)
+            yield t, {m: c}
+        return
+    forms = [[(j, _ONE if v == 1 else v) for j, v in enumerate(row) if v]
+             for row in sub]
+    seqs = {tuple(i for i, x in enumerate(e) for _ in range(x)): t
+            for t, e in enumerate(targets)}
+    needed = set()
+    for seq in seqs:
+        while seq not in needed:
+            needed.add(seq)
+            seq = seq[1:]
+    # sorted by the reversed sequence, each suffix comes right after the
+    # path from the empty sequence to it
+    path = [{(0,) * len(sub): _ONE}]
+    for seq in sorted(needed, key=lambda seq: seq[::-1]):
+        if seq:
+            path[len(seq):] = [_times(path[len(seq) - 1], forms[seq[0]])]
+        t = seqs.get(seq)
+        if t is not None:
+            yield t, path[-1]
 
-        def image(exps):
-            got = memo.get(exps)
-            if got is None:
-                target = [0] * n
-                coeff = _ONE
-                for i, e in enumerate(exps):
-                    if e:
-                        target[sigma[i]] = e
-                        pw = powers[i]
-                        while len(pw) <= e:
-                            p = pw[-1] * scalars[i]
-                            pw.append(_ONE if p == 1 else p)
-                        if pw[e] is not _ONE:
-                            coeff = pw[e] if coeff is _ONE else coeff * pw[e]
-                got = memo[exps] = {tuple(target): coeff}
-            return got
-        return image
 
-    forms = [[(j, v) for j, v in enumerate(row) if v] for row in sub]
-    memo[(0,) * n] = {(0,) * n: _ONE}
-
-    def image(exps):
-        got = memo.get(exps)
-        if got is None:
-            i = next(i for i, e in enumerate(exps) if e)
-            acc = {}
-            for m, c in image(exps[:i] + (exps[i] - 1,) + exps[i + 1:]).items():
-                for j, v in forms[i]:
-                    t = m[:j] + (m[j] + 1,) + m[j + 1:]
-                    prev = acc.get(t)
-                    acc[t] = c * v if prev is None else prev + c * v
-            got = memo[exps] = {t: c for t, c in acc.items() if c}
-        return got
-    return image
+def _times(image, form):
+    """The polynomial {exponents: coefficient} times a linear form given as
+    (variable, coefficient) pairs, keeping _ONE for a product of ones."""
+    acc = {}
+    for m, c in image.items():
+        for j, v in form:
+            t = m[:j] + (m[j] + 1,) + m[j + 1:]
+            w = c if v is _ONE else v if c is _ONE else c * v
+            prev = acc.get(t)
+            acc[t] = w if prev is None else prev + w
+    return {t: c for t, c in acc.items() if c}
 
 
 def action_trace(graded: GradedBasis, d: int, mat) -> CycloScalar:

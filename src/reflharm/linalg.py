@@ -217,13 +217,7 @@ class SpanSolver:
         coeffs = echelon_coordinates(self.ech, self.pivots, vec)
         if coeffs is None:
             return None
-        out = [CYC_ZERO] * len(self.rows)
-        for c, trow in zip(coeffs, self.transform):
-            if c:
-                for j, t in enumerate(trow):
-                    if t:
-                        out[j] = out[j] + c * t
-        return out
+        return vec_mat(coeffs, self.transform, [CYC_ZERO] * len(self.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -265,6 +259,23 @@ def mat_vec(a, v):
             acc = row[0] - row[0]
         out.append(acc)
     return out
+
+
+def vec_mat(v, rows, acc):
+    """acc plus sum_i v[i] * rows[i], as a new list."""
+    out = list(acc)
+    for c, row in zip(v, rows):
+        if c:
+            for j, b in enumerate(row):
+                if b:
+                    out[j] = out[j] + c * b
+    return out
+
+
+def kron_vec(a, b):
+    """The Kronecker product of two vectors: entry i * len(b) + j is
+    a[i] * b[j]."""
+    return [x * y for x in a for y in b]
 
 
 def mat_inv(a):

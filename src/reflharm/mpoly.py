@@ -25,7 +25,7 @@ from functools import lru_cache
 
 from .errors import UsageError
 from .linalg import mat_inv
-from .scalars import CycloScalar
+from .scalars import CYC_ONE, CycloScalar
 
 COVARIANT = "S(V)"
 CONTRAVARIANT = "S(V*)"
@@ -263,24 +263,11 @@ class MPoly:
         return self.substitute(forms)
 
     def _act_monomial(self, mono) -> "MPoly":
-        sigma, scalars = mono
+        image = _monomial_image(mono)
         out = {}
-        powcache = {}
-        n = self.nvars
         for exps, c in self.terms.items():
-            newe = [0] * n
-            coeff = c
-            for i, e in enumerate(exps):
-                if e:
-                    newe[sigma[i]] = e
-                    key = (i, e)
-                    sc = powcache.get(key)
-                    if sc is None:
-                        sc = scalars[i] ** e
-                        powcache[key] = sc
-                    if sc != 1:
-                        coeff = coeff * sc
-            out[tuple(newe)] = coeff
+            t, s = image(exps)
+            out[t] = c if s is CYC_ONE else c * s
         p = MPoly.__new__(MPoly)
         p.space, p.nvars, p.terms = self.space, self.nvars, out
         return p
@@ -398,6 +385,32 @@ def _monomial_shape(mat):
         sigma[i] = j
         scalars[i] = row[j]
     return sigma, scalars
+
+
+def _monomial_image(mono):
+    """For (sigma, scalars) from _monomial_shape, the map sending the
+    exponents of X^e to (exponents, coefficient) of its image under
+    X_i -> scalars[i] * X_sigma[i], one term.  Powers of the scalars are
+    cached; a coefficient equal to one is CYC_ONE itself, so callers can
+    skip the product."""
+    sigma, scalars = mono
+    n = len(sigma)
+    powers = [[CYC_ONE] for _ in range(n)]
+
+    def image(exps):
+        target = [0] * n
+        coeff = CYC_ONE
+        for i, e in enumerate(exps):
+            if e:
+                target[sigma[i]] = e
+                pw = powers[i]
+                while len(pw) <= e:
+                    p = pw[-1] * scalars[i]
+                    pw.append(CYC_ONE if p == 1 else p)
+                if pw[e] is not CYC_ONE:
+                    coeff = pw[e] if coeff is CYC_ONE else coeff * pw[e]
+        return tuple(target), coeff
+    return image
 
 
 def diff_apply(op: MPoly, target: MPoly) -> MPoly:

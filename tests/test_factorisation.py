@@ -202,7 +202,7 @@ def test_d_map():
 
 
 def test_d_map_is_degree_reversing_bijection():
-    from reflharm.harmonics import harmonic_basis, project_to_H
+    from reflharm.harmonics import harmonic_basis
     from reflharm.linalg import rref
     from reflharm.mpoly import monomials_of_degree
 

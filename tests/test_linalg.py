@@ -16,12 +16,14 @@ from reflharm.linalg import (
     det,
     identity_matrix,
     kernel_basis,
+    kron_vec,
     mat_inv,
     mat_mul,
     mat_vec,
     rank,
     rref,
     rref_with_transform,
+    vec_mat,
 )
 from reflharm.scalars import QQ, CycloScalar
 
@@ -204,6 +206,22 @@ def test_span_solver_none_outside_span(data):
     inside = rank(mat + [vec]) == rank(mat)
     assert (solver.express(vec) is None) == (not inside)
     assert solver.contains(vec) == inside
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_vec_mat_adds_the_row_combination(data):
+    m, n = data.draw(st.integers(1, 4)), data.draw(st.integers(1, 5))
+    mat = data.draw(_matrices(m, n))
+    coeffs, acc = data.draw(_vectors(m)), data.draw(_vectors(n))
+    got = vec_mat(coeffs, mat, acc)
+    assert got == [a + b for a, b in zip(acc, _combine(coeffs, mat))]
+    assert vec_mat([], [], acc) == acc and vec_mat([], [], acc) is not acc
+
+
+def test_kron_vec_entry_order():
+    a, b = [QQ(2), QQ(0), QQ(-1)], [QQ(1), QQ(3)]
+    assert kron_vec(a, b) == [a[i] * b[j] for i in range(3) for j in range(2)]
 
 
 # Rational rows are eliminated on integers; the field loop is the reference
