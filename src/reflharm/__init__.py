@@ -2,11 +2,11 @@
 
 Subpackages build on each other roughly bottom-up:
 
-    scalars        cyclotomic field arithmetic, polynomials, series
+    scalars        rationals, cyclotomic field arithmetic, polynomials
     linalg         exact row reduction, kernels, solving
     mpoly          sparse multivariate polynomials and group actions
-    groups         matrix groups, reflections, hyperplanes, conjugacy
-                   classes, normaliser test, catalog
+    groups         matrix groups, reflections, hyperplanes, orbits on
+                   indices (conjugacy classes), normaliser test, catalog
     harmonics      invariants, Molien series, harmonic spaces
     rootdata       crystallographic root systems for the counting layer
     factorisation  tensor factorisation of harmonics along a subgroup

@@ -426,7 +426,7 @@ def verify_fake_degree_formula(group: ReflectionGroup,
     fixed_poin = fixed_point_basis(harmonic_basis(group), subgroup).poincare()
 
     series = molien(subgroup, sum(invariant_degrees(group)))
-    quotient = RatPoly(shape_product(group, series.coeffs))
+    quotient = RatPoly(shape_product(group, series))
 
     agree = char_sum == fixed_poin and fixed_poin == quotient
     return {

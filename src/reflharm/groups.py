@@ -37,7 +37,9 @@ An element's identity is its index.  index_of maps a matrix to it (None
 outside the group), and no other layer keys elements by their matrices.
 
 The group-level queries that other layers share live here, once each:
-conjugacy classes (conjugacy_classes, cached on the group), the
+the orbits of maps c -> a c b on indices (orbit_partition; conjugacy
+classes and the twisted classes of the counting layer are both such
+orbits), conjugacy classes (conjugacy_classes, cached on the group), the
 normaliser test (is_normalized_by, on generators) and subgroup closure
 of generators checked against the ambient group (subgroup_from_matrices).
 
@@ -416,33 +418,40 @@ class ClassData:
         return tuple(size for _, size in self.classes)
 
 
-def conjugacy_classes(group: ReflectionGroup) -> ClassData:
-    """Orbit partition of the group under conjugation."""
-    if group._classes is not None:
-        return group._classes
-    gen_idx = [group.index_of(g) for g in group.generators]
-    gen_inv = [group.inverse_index(i) for i in gen_idx]
+def orbit_partition(group: ReflectionGroup, pairs):
+    """The orbits of the maps c -> a c b, over the given index pairs
+    (a, b), on the group's element indices: (class of each index, members
+    of each class in storage order).  Classes are numbered by their first
+    member."""
     class_of = [None] * group.order
-    classes = []
-    reps = []
+    members = []
     for start in range(group.order):
         if class_of[start] is not None:
             continue
-        orbit = {start}
+        tag = class_of[start] = len(members)
+        members.append([])
         stack = [start]
         while stack:
             x = stack.pop()
-            for gi, gii in zip(gen_idx, gen_inv):
-                y = group.mul_index(group.mul_index(gi, x), gii)
-                if y not in orbit:
-                    orbit.add(y)
+            for a, b in pairs:
+                y = group.mul_index(group.mul_index(a, x), b)
+                if class_of[y] is None:
+                    class_of[y] = tag
                     stack.append(y)
-        tag = len(classes)
-        for x in orbit:
-            class_of[x] = tag
-        classes.append((group.element(start), len(orbit)))
-        reps.append(start)
-    group._classes = ClassData(classes, class_of, reps)
+    for i, c in enumerate(class_of):
+        members[c].append(i)
+    return class_of, members
+
+
+def conjugacy_classes(group: ReflectionGroup) -> ClassData:
+    """Orbit partition of the group under conjugation by its generators."""
+    if group._classes is not None:
+        return group._classes
+    gen_idx = [group.index_of(g) for g in group.generators]
+    class_of, members = orbit_partition(
+        group, [(g, group.inverse_index(g)) for g in gen_idx])
+    classes = [(group.element(m[0]), len(m)) for m in members]
+    group._classes = ClassData(classes, class_of, [m[0] for m in members])
     return group._classes
 
 

@@ -53,10 +53,11 @@ from .mpoly import (
     _monomial_image,
     _monomial_shape,
     coerce_matrix,
+    diff_apply,
     monomials_of_degree,
     pairing,
 )
-from .scalars import CYC_ONE, CYC_ZERO, QQ, CycloScalar, RatPoly, RatSeries
+from .scalars import CYC_ONE, CYC_ZERO, QQ, CycloScalar, RatPoly
 
 _ZERO, _ONE = CYC_ZERO, CYC_ONE
 
@@ -195,15 +196,17 @@ def class_series(g, trunc):
     return h
 
 
-def molien(group: ReflectionGroup, trunc: int) -> RatSeries:
-    """(1/|G|) sum_g 1/det(Id - t g): coefficient of t^d is dim S^G_d.
-    The summand is a class function, so it is evaluated once per conjugacy
-    class and weighted by the class size."""
+def molien(group: ReflectionGroup, trunc: int) -> tuple:
+    """(1/|G|) sum_g 1/det(Id - t g) up to t^trunc, as a tuple of rational
+    coefficients: the coefficient of t^d is dim S^G_d.  The summand is a
+    class function, so it is evaluated once per conjugacy class and
+    weighted by the class size.  The longest tuple built is cached, and
+    shorter ones are its slices."""
     if trunc < 0:
         raise UsageError("truncation must be non-negative")
     ctx = _ctx(group)
-    best = ctx.get("molien")
-    if best is None or best.trunc < trunc:
+    best = ctx.get("molien", ())
+    if len(best) <= trunc:
         total = [_ZERO] * (trunc + 1)
         for rep, size in conjugacy_classes(group).classes:
             for k, c in enumerate(class_series(rep, trunc)):
@@ -214,9 +217,8 @@ def molien(group: ReflectionGroup, trunc: int) -> RatSeries:
             if not c.is_rational():
                 raise DomainError("Molien coefficient is not rational")
             coeffs.append(c.as_rational() * unit)
-        best = RatSeries(coeffs, trunc)
-        ctx["molien"] = best
-    return RatSeries(list(best.coeffs[:trunc + 1]), trunc)
+        best = ctx["molien"] = tuple(coeffs)
+    return best[:trunc + 1]
 
 
 def invariant_degrees(group: ReflectionGroup):
@@ -228,8 +230,7 @@ def invariant_degrees(group: ReflectionGroup):
     trunc = max(8, 2 * ell)
     cap = 4 * group.order + 8
     while True:
-        series = molien(group, trunc)
-        found = _peel_degrees(series, ell, trunc)
+        found = _peel_degrees(molien(group, trunc), ell)
         if found is not None:
             prod = 1
             for d in found:
@@ -266,8 +267,8 @@ def shape_product(group: ReflectionGroup, coeffs) -> list:
     return out
 
 
-def _peel_degrees(series: RatSeries, ell: int, trunc: int):
-    coeffs = list(series.coeffs)
+def _peel_degrees(series: tuple, ell: int):
+    coeffs = list(series)
     found = []
     for _ in range(ell):
         d = next((k for k in range(1, len(coeffs)) if coeffs[k]), None)
@@ -307,8 +308,7 @@ def invariant_basis(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
         out = [MPoly.constant(space, nv, 1)]
         ctx[key] = tuple(out)
         return list(out)
-    target = molien(group, d).coeffs[d]
-    target = int(target)
+    target = int(molien(group, d)[d])
     monos = monomials_of_degree(nv, d)
     rows = []
     if target:
@@ -405,33 +405,6 @@ def ideal_component(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
 # harmonic bases
 
 
-def _diff_image(op_terms, beta):
-    """Terms of D_op(X^beta) as {exponent: coefficient}: op_terms maps
-    exponents to coefficients, which the falling-factorial integers
-    multiply."""
-    out = {}
-    for alpha, c in op_terms.items():
-        coef = c
-        target = []
-        ok = True
-        for b, a in zip(beta, alpha):
-            if a > b:
-                ok = False
-                break
-            f = 1
-            for k in range(a):
-                f *= b - k
-            if f != 1:
-                coef = coef * f
-            target.append(b - a)
-        if not ok:
-            continue
-        t = tuple(target)
-        prev = out.get(t)
-        out[t] = coef if prev is None else prev + coef
-    return {t: v for t, v in out.items() if v}
-
-
 def _diagonal_signature(group: ReflectionGroup):
     """Root-of-unity exponent rows for the diagonal elements of a monomial
     group: (modulus M, rows) with element entries zeta_M^rows[i][j]; None if
@@ -513,7 +486,10 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
     (equivalently, the annihilator of the opposite-side ideal), one
     elimination of all their images per diagonal-character block.  Both
     yield the same canonical bases; keeping the two routes separate is the
-    point, so they share no solver code beyond rref and kernel_basis.
+    point, so they share no solver code beyond rref and kernel_basis, and
+    no differentiation code: the perp route applies its operators with
+    mpoly.diff_apply, and the derivative route takes its first
+    derivatives inline.
 
     dim H = |G| holds exactly when G is generated by reflections, so any
     other dimension raises DomainError.
@@ -538,28 +514,22 @@ def harmonic_basis(group: ReflectionGroup, method: str = "derivative",
     return basis
 
 
-def _operator_terms(group, space):
-    """Free generators of the side opposite to `space`, as (degree, term
-    dict) pairs."""
-    return [(g.homogeneous_degree(), g.terms)
-            for g in free_generators(group, _opposite(space))]
-
-
 def _harmonic_degree_perp(group, d, space):
-    """H_d as the joint kernel of the operators of degree <= d, one
-    elimination per diagonal-character block: each operator adds one row
-    per target monomial of its images of the block's monomials."""
+    """H_d as the joint kernel of the operators of degree <= d (the free
+    generators of the opposite side), one elimination per
+    diagonal-character block: each operator adds one row per target
+    monomial of its images of the block's monomials."""
     monos = monomials_of_degree(group.dim, d)
-    ops = _operator_terms(group, space)
+    ops = [op for op in free_generators(group, _opposite(space))
+           if op.homogeneous_degree() <= d]
     global_rows = []
     for block in _blocks(group, d):
+        targets = [MPoly.monomial(space, monos[c]) for c in block]
         rows = []
-        for deg, op in ops:
-            if deg > d:
-                continue
+        for op in ops:
             by_target = {}
-            for j, c in enumerate(block):
-                for t, val in _diff_image(op, monos[c]).items():
+            for j, target in enumerate(targets):
+                for t, val in diff_apply(op, target).terms.items():
                     by_target.setdefault(t, [_ZERO] * len(block))[j] = val
             rows.extend(by_target.values())
         ech, _ = rref(kernel_basis(rows, len(block)))

@@ -1,10 +1,11 @@
-"""Exact scalar arithmetic: rationals, cyclotomic numbers, rational polynomials
-and truncated series.
+"""Exact scalar arithmetic: rationals, cyclotomic numbers and rational
+polynomials.
 
 Rationals (QQ) are gmpy2.mpq when available and fractions.Fraction
 otherwise; both expose numerator/denominator and the same operator surface,
 so nothing downstream cares which one is active.  QQ serves RatPoly and
-RatSeries; matrices hold CycloScalar entries only.
+the rational coefficients of truncated series, which are plain tuples;
+matrices hold CycloScalar entries only.
 
 A CycloScalar is an element of Q(zeta_n) stored as its coefficient vector on
 the power basis 1, zeta, ..., zeta^(phi(n)-1), reduced modulo the n-th
@@ -35,7 +36,6 @@ except ImportError:  # gmpy2 is the optional `fast` extra
     from fractions import Fraction as QQ
 
 QQ_ZERO = QQ(0)
-QQ_ONE = QQ(1)
 
 
 def qq(value) -> QQ:
@@ -107,7 +107,7 @@ def divisors(n: int) -> list[int]:
 
 
 # ---------------------------------------------------------------------------
-# rational polynomials and series
+# rational polynomials
 
 
 class RatPoly:
@@ -282,100 +282,6 @@ def cyclotomic_polynomial(n: int) -> RatPoly:
         if d < n:
             num = num.exact_div(cyclotomic_polynomial(d))
     return num
-
-
-class RatSeries:
-    """Truncated power series over Q: coefficients 0..trunc inclusive."""
-
-    __slots__ = ("coeffs", "trunc")
-
-    def __init__(self, coeffs, trunc: int):
-        if trunc < 0:
-            raise UsageError("truncation order must be non-negative")
-        cs = [qq(c) for c in coeffs][: trunc + 1]
-        cs += [QQ_ZERO] * (trunc + 1 - len(cs))
-        self.coeffs = tuple(cs)
-        self.trunc = trunc
-
-    @staticmethod
-    def from_poly(p: RatPoly, trunc: int) -> "RatSeries":
-        return RatSeries(p.coeffs, trunc)
-
-    def coeff(self, k: int) -> QQ:
-        if k > self.trunc:
-            raise UsageError("coefficient beyond truncation order")
-        return self.coeffs[k]
-
-    def __eq__(self, other):
-        if not isinstance(other, RatSeries):
-            return NotImplemented
-        return self.trunc == other.trunc and self.coeffs == other.coeffs
-
-    def __hash__(self):
-        return hash((self.coeffs, self.trunc))
-
-    def _common(self, other):
-        if isinstance(other, RatSeries):
-            t = min(self.trunc, other.trunc)
-            return other, t
-        return RatSeries.from_poly(RatPoly([other]), self.trunc), self.trunc
-
-    def __add__(self, other):
-        other, t = self._common(other)
-        return RatSeries([self.coeffs[i] + other.coeffs[i] for i in range(t + 1)], t)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatSeries([-c for c in self.coeffs], self.trunc)
-
-    def __sub__(self, other):
-        other, t = self._common(other)
-        return RatSeries([self.coeffs[i] - other.coeffs[i] for i in range(t + 1)], t)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, type(QQ_ZERO))):
-            return RatSeries([c * other for c in self.coeffs], self.trunc)
-        if isinstance(other, RatPoly):
-            other = RatSeries.from_poly(other, self.trunc)
-        other, t = self._common(other)
-        out = [QQ_ZERO] * (t + 1)
-        for i in range(t + 1):
-            a = self.coeffs[i]
-            if not a:
-                continue
-            for j in range(t + 1 - i):
-                b = other.coeffs[j]
-                if b:
-                    out[i + j] += a * b
-        return RatSeries(out, t)
-
-    __rmul__ = __mul__
-
-    def invert(self) -> "RatSeries":
-        """Multiplicative inverse; requires an invertible constant term."""
-        c0 = self.coeffs[0]
-        if not c0:
-            raise DomainError("series with zero constant term has no inverse")
-        inv0 = 1 / c0
-        out = [inv0] + [QQ_ZERO] * self.trunc
-        for k in range(1, self.trunc + 1):
-            acc = QQ_ZERO
-            for j in range(1, k + 1):
-                cj = self.coeffs[j]
-                if cj:
-                    acc += cj * out[k - j]
-            out[k] = -inv0 * acc
-        return RatSeries(out, self.trunc)
-
-    def divide(self, other: "RatSeries") -> "RatSeries":
-        other, _ = self._common(other)
-        return self * other.invert()
-
-    def __str__(self):
-        return "%s + O(t^%d)" % (RatPoly(self.coeffs), self.trunc + 1)
-
-    __repr__ = __str__
 
 
 # ---------------------------------------------------------------------------

@@ -39,7 +39,7 @@ the split count over the F-classes of C are both covered by tests.
 from __future__ import annotations
 
 from .errors import CapError, DomainError, UsageError
-from .groups import ReflectionGroup, matrix_from_json
+from .groups import ReflectionGroup, matrix_from_json, orbit_partition
 from .harmonics import action_trace, fixed_point_basis, harmonic_basis
 from .linalg import det, identity_matrix, mat_inv, mat_mul
 from .mpoly import coerce_matrix
@@ -129,37 +129,19 @@ class TwistData:
 
 
 def f_classes(cgroup: ReflectionGroup, f0):
-    """Partition of C into F-conjugacy classes c ~ x c F0(x)^{-1} F0,
-    as a list of frozensets of element indices of C, deterministic order."""
+    """Partition of C into F-conjugacy classes c ~ x c F(x)^{-1}, with
+    F(x) = F0 x F0^{-1}, as a list of frozensets of element indices of C,
+    ordered by their first member.  F is a homomorphism, so the orbits
+    under C are those under its generators, and only the generators are
+    conjugated by matrices."""
     f0_inv = mat_inv(f0)
-    twisted = {}
-    for i in range(cgroup.order):
-        x = cgroup.element(i)
-        phi = mat_mul(mat_mul(f0, x), f0_inv)
-        j = cgroup.index_of(phi)
-        if j is None:
+    pairs = []
+    for x in cgroup.generators:
+        fx = cgroup.index_of(mat_mul(mat_mul(f0, x), f0_inv))
+        if fx is None:
             raise UsageError("twisting matrix does not normalize C")
-        twisted[i] = j
-    seen = set()
-    classes = []
-    for i in range(cgroup.order):
-        if i in seen:
-            continue
-        orbit = set()
-        stack = [i]
-        while stack:
-            c = stack.pop()
-            if c in orbit:
-                continue
-            orbit.add(c)
-            for x in range(cgroup.order):
-                xc = cgroup.mul_index(x, c)
-                img = cgroup.mul_index(xc, cgroup.inverse_index(twisted[x]))
-                if img not in orbit:
-                    stack.append(img)
-        seen |= orbit
-        classes.append(frozenset(orbit))
-    return classes
+        pairs.append((cgroup.index_of(x), cgroup.inverse_index(fx)))
+    return [frozenset(m) for m in orbit_partition(cgroup, pairs)[1]]
 
 
 def count_split(datum: RootDatum, sub: SubsystemData) -> RatPoly:

@@ -31,7 +31,7 @@ from reflharm.mpoly import (
     monomials_of_degree,
 )
 from reflharm.rootdata import complement_group, subsystem_preset
-from reflharm.scalars import CycloScalar, RatPoly, RatSeries, qq
+from reflharm.scalars import QQ, CycloScalar, RatPoly, qq
 
 ONE = CycloScalar.rational(1)
 
@@ -50,22 +50,30 @@ def test_reynolds_b2():
     assert reynolds(b2, P(2, ((1, 0), 1))).is_zero()
 
 
+def _inverse_degree_product(degrees, trunc):
+    """prod_i 1/(1 - t^d_i) up to t^trunc: each factor is the geometric
+    series, a running sum with step d_i."""
+    out = [QQ(1)] + [QQ(0)] * trunc
+    for d in degrees:
+        for k in range(d, trunc + 1):
+            out[k] += out[k - d]
+    return out
+
+
 def test_molien_oracles():
     ident = ReflectionGroup([[[ONE, ONE * 0], [ONE * 0, ONE]]])
     series = molien(ident, 6)
-    assert list(series.coeffs) == [d + 1 for d in range(7)]
+    assert list(series) == [d + 1 for d in range(7)]
 
     mu5 = catalog("cyclic:5")
     series = molien(mu5, 12)
-    assert list(series.coeffs) == [1 if d % 5 == 0 else 0 for d in range(13)]
+    assert list(series) == [1 if d % 5 == 0 else 0 for d in range(13)]
 
     b2 = catalog("weyl:B:2")
     series = molien(b2, 8)
     # 1/((1-t^2)(1-t^4)) by direct expansion
-    want = RatSeries([1], 8)
-    want = want.divide(RatSeries([1, 0, -1], 8))          # 1 - t^2
-    want = want.divide(RatSeries([1, 0, 0, 0, -1], 8))    # 1 - t^4
-    assert list(series.coeffs) == list(want.coeffs)
+    assert list(series) == _inverse_degree_product([2, 4], 8)
+    assert list(series) == [1, 0, 1, 0, 2, 0, 2, 0, 3]
 
 
 def _textbook_degrees(name):
@@ -96,12 +104,8 @@ def test_invariant_degrees():
         want = _textbook_degrees(name)
         assert invariant_degrees(group) == want, name
         trunc = 2 * max(want)
-        expected = RatSeries([1], trunc)
-        for d in want:
-            expected = expected.divide(RatSeries([1] + [0] * (d - 1) + [-1],
-                                                 trunc))
         series = molien(group, trunc)
-        assert list(series.coeffs) == list(expected.coeffs), name
+        assert list(series) == _inverse_degree_product(want, trunc), name
 
 
 def test_invariant_basis_fixtures():
@@ -203,6 +207,21 @@ def test_perp_route_needs_no_skew_product(monkeypatch, name):
     monkeypatch.setattr(ReflectionGroup, "_skew_product", refuse)
     group = catalog(name)
     assert harmonic_basis(group, "perp").dimension() == group.order
+
+
+@pytest.mark.parametrize("name", ["weyl:A:3", "gmpn:3:1:2"])
+def test_derivative_route_needs_no_diff_apply(monkeypatch, name):
+    """The derivative route takes its first derivatives inline, so it
+    shares no differentiation code with the perp route's diff_apply."""
+    def refuse(*args):
+        raise AssertionError("the derivative route reached diff_apply")
+
+    group = catalog(name)
+    with monkeypatch.context() as patch:
+        patch.setattr(harmonics, "diff_apply", refuse)
+        H = harmonic_basis(group, "derivative")
+    assert H.dimension() == group.order
+    assert H == harmonic_basis(group, "perp")
 
 
 def test_harmonics_covariant_side():
@@ -474,10 +493,12 @@ def test_fixed_poincare_equals_molien_ratio():
     ry = [[ONE, ONE * 0], [ONE * 0, -ONE]]
     sub = b2.subgroup_from_matrices([rx, ry])
     nn = b2.skew_degree() - sub.skew_degree()
-    ratio = molien(sub, nn).divide(molien(b2, nn))
-    fixed = fixed_point_basis(harmonic_basis(b2), sub)
-    assert list(ratio.coeffs) == list(fixed.poincare().coeffs) + [0] * (
-        nn + 1 - len(fixed.poincare().coeffs))
+    # Molien(sub) = P(H(b2)^sub) * Molien(b2), Molien(b2) = 1/((1-t^2)(1-t^4))
+    poin = fixed_point_basis(harmonic_basis(b2), sub).poincare()
+    whole = _inverse_degree_product([2, 4], nn)
+    assert list(molien(sub, nn)) == [
+        sum(poin.coeff(i) * whole[k - i] for i in range(k + 1))
+        for k in range(nn + 1)]
 
 
 def test_action_matrix():

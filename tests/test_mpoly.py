@@ -2,6 +2,8 @@ import math
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from reflharm.errors import UsageError
 from reflharm.linalg import mat_mul
@@ -153,6 +155,36 @@ def test_diff_is_algebra_action():
         b = rand_poly(rng, COVARIANT, 2, rng.randint(1, 2))
         P = rand_poly(rng, CONTRAVARIANT, 2, rng.randint(2, 5))
         assert diff_apply(a * b, P) == diff_apply(a, diff_apply(b, P))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_diff_apply_on_a_monomial_is_falling_factorials(data):
+    # D_op(X^beta) = sum_alpha c_alpha prod_i beta_i!/(beta_i - alpha_i)!
+    # X^(beta - alpha), a term dropped when some alpha_i > beta_i; on
+    # either variable side
+    nvars = data.draw(st.integers(1, 3))
+    exps = st.tuples(*[st.integers(0, 4)] * nvars)
+    beta = data.draw(exps)
+    op_terms = data.draw(st.dictionaries(
+        exps, st.integers(-5, 5).filter(bool), max_size=4))
+    z3 = CycloScalar.root_of_unity(3)
+    scale = data.draw(st.sampled_from([CycloScalar.rational(1), z3, 1 - z3]))
+    op_space = data.draw(st.sampled_from([COVARIANT, CONTRAVARIANT]))
+    target_space = COVARIANT if op_space == CONTRAVARIANT else CONTRAVARIANT
+    op = MPoly(op_space, nvars, {a: scale * c for a, c in op_terms.items()})
+    want = {}
+    for alpha, c in op_terms.items():
+        if any(a > b for a, b in zip(alpha, beta)):
+            continue
+        f = 1
+        for a, b in zip(alpha, beta):
+            f *= math.factorial(b) // math.factorial(b - a)
+        low = tuple(b - a for a, b in zip(alpha, beta))
+        want[low] = scale * (c * f)
+    got = diff_apply(op, MPoly.monomial(target_space, beta))
+    assert got == MPoly(target_space, nvars, want)
+    assert got.space == target_space
 
 
 def test_diff_drops_degree():

@@ -14,7 +14,6 @@ from reflharm.scalars import (
     QQ,
     CycloScalar,
     RatPoly,
-    RatSeries,
     cyclotomic_polynomial,
     divisors,
     euler_phi,
@@ -98,32 +97,6 @@ def test_cyclotomic_product_identity():
 def test_cyclotomic_degree_is_phi():
     for n in range(1, 30):
         assert cyclotomic_polynomial(n).degree == euler_phi(n)
-
-
-def test_series_geometric_inverse():
-    one_minus_t = RatSeries.from_poly(RatPoly([1, -1]), 8)
-    geo = one_minus_t.invert()
-    assert list(geo.coeffs) == [QQ(1)] * 9
-
-
-def test_series_molien_style_quotient():
-    # 1/((1-t)(1-t^2)) counts partitions into parts 1 and 2
-    denom = RatSeries.from_poly(RatPoly([1, -1]) * RatPoly([1, 0, -1]), 9)
-    counts = denom.invert()
-    assert [int(c) for c in counts.coeffs] == [1, 1, 2, 2, 3, 3, 4, 4, 5, 5]
-
-
-def test_series_zero_constant_not_invertible():
-    with pytest.raises(DomainError):
-        RatSeries.from_poly(RatPoly([0, 1]), 4).invert()
-
-
-def test_series_mul_respects_truncation():
-    a = RatSeries.from_poly(RatPoly([1, 1]), 3)
-    b = RatSeries.from_poly(RatPoly([1, -1]), 5)
-    prod = a * b
-    assert prod.trunc == 3
-    assert list(prod.coeffs) == [QQ(1), QQ(0), QQ(-1), QQ(0)]
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,8 @@ import pytest
 
 from reflharm.errors import CapError, DomainError, UsageError
 from reflharm.harmonics import invariant_degrees
+from reflharm.linalg import mat_inv, mat_mul
+from reflharm.mpoly import coerce_matrix
 from reflharm.rootdata import (
     _apply,
     build_root_datum,
@@ -309,6 +311,51 @@ def test_f_classes_of_abelian_complement(c2_long):
     classes = f_classes(cgroup, ident)
     assert len(classes) == 2
     assert all(len(cls) == 1 for cls in classes)
+
+
+def _f_classes_by_matrices(cgroup, f0):
+    """The F-classes by brute force: the orbits of c -> x c F(x)^-1 over
+    every x in C, with F(x) = F0 x F0^-1 formed by matrices, sorted by
+    their first member."""
+    f0_inv = mat_inv(f0)
+    moves = [(x, mat_inv(mat_mul(mat_mul(f0, x), f0_inv)))
+             for x in cgroup.elements]
+    classes, seen = [], set()
+    for start in range(cgroup.order):
+        if start in seen:
+            continue
+        orbit, stack = {start}, [start]
+        while stack:
+            c = cgroup.element(stack.pop())
+            for x, fx_inv in moves:
+                j = cgroup.index_of(mat_mul(mat_mul(x, c), fx_inv))
+                assert j is not None
+                if j not in orbit:
+                    orbit.add(j)
+                    stack.append(j)
+        seen |= orbit
+        classes.append(frozenset(orbit))
+    return classes
+
+
+@pytest.mark.parametrize("label", ["B3", "C3"])
+def test_f_classes_match_matrix_oracle(label):
+    # Every element of C normalises W' and fixes its simple system, so
+    # each one is a valid F0; the order-6 and order-8 complements are not
+    # abelian, so their twisted classes differ from their conjugacy classes.
+    datum = root_datum_from_label(label)
+    for sub in _all_subsystems(datum):
+        cgroup = complement_group(datum, sub)
+        for f0 in cgroup.elements:
+            assert f_classes(cgroup, f0) == \
+                _f_classes_by_matrices(cgroup, f0), sub.simples
+
+
+def test_f_classes_match_matrix_oracle_under_swap(c2_long):
+    datum, sub = c2_long
+    cgroup = complement_group(datum, sub)
+    swap = coerce_matrix(SWAP2)
+    assert f_classes(cgroup, swap) == _f_classes_by_matrices(cgroup, swap)
 
 
 def test_twisted_report_metadata(c2_long):
