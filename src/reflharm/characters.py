@@ -1,18 +1,25 @@
 """Exact character tables and graded character bookkeeping.
 
-Tables are computed by the classical class-algebra method: the
-structure-constant matrices of the class sums commute and are
-simultaneously diagonalizable, and the normalized entries of their
-common eigenvectors are the character values scaled by class size over
-degree.  All eigenproblems run modulo a prime p with p = 1 (mod
-exponent(G)) and p squared > 4|G|, after which values lift uniquely to
-the cyclotomic field of the exponent by Fourier inversion along each
-cyclic subgroup.  Every table is checked against both orthogonality
+Tables are computed by the classical class-algebra method (Dixon, Numer.
+Math. 10, 1967): the structure-constant matrices of the class sums
+commute and are simultaneously diagonalizable, and the normalized
+entries of their common eigenvectors are the character values scaled by
+class size over degree.  All eigenproblems run modulo a prime p with
+p = 1 (mod exponent(G)) and p squared > 4|G|.  On each eigenspace found
+so far, the characteristic polynomial of the next matrix is computed
+once over F_p (Hessenberg reduction), its roots are found by evaluating
+it at every element of F_p, and a kernel is taken only at a root.  The
+values then lift uniquely by Fourier inversion along each cyclic
+subgroup: the value at g is sum_u m_u zeta_n^u, n the order of g and m_u
+the multiplicity of the eigenvalue zeta_n^u, stored reduced to its
+minimal conductor.  Every table is checked against both orthogonality
 relations before being returned, so downstream consumers see validated
 data or an exception, never a silently wrong table.
 
 The graded layer (graded characters, fake degrees, induced-trivial
-multiplicities) is inner-product arithmetic over the table.  Graded
+multiplicities) is inner-product arithmetic over the table; the
+orthogonality check and all inner products run on packed integer dot
+products (scalars.dot_products), each demanded exact.  Graded
 characters come from class series: S = S^G (x) H as graded G-modules, so
 sum_d tr(g | H_d) t^d = prod_i (1 - t^d_i) / det(Id - t g^-1) (Springer,
 Invent. Math. 25, 1974), and no harmonic basis is built.  The fake-degree
@@ -35,7 +42,8 @@ from .harmonics import (
     molien,
     shape_product,
 )
-from .scalars import CycloScalar, RatPoly, prime_factors
+from .scalars import (CycloScalar, RatPoly, _combine, _make, _power_table,
+                      dot_products, euler_phi, prime_factors)
 
 TABLE_CAP = 2000
 
@@ -135,9 +143,50 @@ def _combine_mod(basis, coeffs, p):
     return out
 
 
+def _charpoly_mod(mat, p):
+    """Coefficients of det(t I - mat) over F_p, constant term first: a
+    similarity transform to upper Hessenberg form H, then the recurrence
+    for the characteristic polynomials of the leading blocks of H."""
+    m = len(mat)
+    h = [[v % p for v in row] for row in mat]
+    for c in range(m - 2):
+        sel = next((r for r in range(c + 1, m) if h[r][c]), None)
+        if sel is None:
+            continue
+        if sel != c + 1:
+            h[c + 1], h[sel] = h[sel], h[c + 1]
+            for row in h:
+                row[c + 1], row[sel] = row[sel], row[c + 1]
+        inv = pow(h[c + 1][c], p - 2, p)
+        for r in range(c + 2, m):
+            u = h[r][c] * inv % p
+            if u:
+                # row r -= u * row c+1, then column c+1 += u * column r
+                h[r] = [(a - u * b) % p for a, b in zip(h[r], h[c + 1])]
+                for row in h:
+                    row[c + 1] = (row[c + 1] + u * row[r]) % p
+    polys = [[1]]
+    for k in range(1, m + 1):
+        prev = polys[-1]
+        poly = [0] + prev
+        for i, v in enumerate(prev):
+            poly[i] = (poly[i] - h[k - 1][k - 1] * v) % p
+        sub = 1
+        for i in range(1, k):
+            sub = sub * h[k - i][k - i - 1] % p
+            f = h[k - i - 1][k - 1] * sub % p
+            if f:
+                for j, v in enumerate(polys[k - i - 1]):
+                    poly[j] = (poly[j] - f * v) % p
+        polys.append(poly)
+    return polys[m]
+
+
 def _common_eigenvectors(mats, p):
     """Split F_p^k into common one-dimensional eigenspaces of a family of
-    commuting diagonalizable matrices."""
+    commuting diagonalizable matrices.  The eigenvalues on each space are
+    the roots of its characteristic polynomial, found by evaluating it at
+    every element of F_p."""
     if not mats:  # one class: F_p^1 is already an eigenspace
         return [[1]]
     k = len(mats[0])
@@ -151,16 +200,21 @@ def _common_eigenvectors(mats, p):
                 continue
             images = [_matvec_mod(mat, b, p) for b in basis]
             restr = _coordinates_mod(basis, images, p)
+            poly = _charpoly_mod(restr, p)
             found = 0
             for lam in range(p):
+                acc = 0
+                for c in reversed(poly):
+                    acc = (acc * lam + c) % p
+                if acc:
+                    continue
                 shifted = [[(restr[r][c] - (lam if r == c else 0)) % p
                             for c in range(m)] for r in range(m)]
                 ker = _kernel_mod(shifted, p)
-                if ker:
-                    refined.append([_combine_mod(basis, v, p) for v in ker])
-                    found += len(ker)
-                    if found == m:
-                        break
+                refined.append([_combine_mod(basis, v, p) for v in ker])
+                found += len(ker)
+                if found == m:
+                    break
             if found != m:
                 raise DomainError("class-algebra matrix is not "
                                   "diagonalizable modulo %d" % p)
@@ -207,8 +261,6 @@ def _validate_table(group, classes, rows):
     or raises), so the row relations make D X* / |G| the inverse of X, and
     the column relations X* X = |G| D^-1 follow without a check."""
     order = group.order
-    sizes = classes.sizes
-    k = len(classes)
     degrees = [rows[r][0] for r in range(len(rows))]
     if sum(int(d.as_rational()) ** 2 for d in degrees) != order:
         raise VerificationError("character degrees do not satisfy the "
@@ -216,16 +268,13 @@ def _validate_table(group, classes, rows):
     one = CycloScalar.rational(1)
     if any(v != one for v in rows[0]):
         raise VerificationError("first character row is not trivial")
-    conj_rows = [[v.conj() for v in row] for row in rows]
-    weights = [CycloScalar.rational(size) for size in sizes]
+    weighted = [[v.conj() * size for v, size in zip(row, classes.sizes)]
+                for row in rows]
+    gram = dot_products(rows, weighted)
     for r in range(len(rows)):
         for s in range(r, len(rows)):
-            acc = CycloScalar.rational(0)
-            for j in range(k):
-                term = rows[r][j] * conj_rows[s][j]
-                acc = acc + term * weights[j]
             want = order if r == s else 0
-            if acc != CycloScalar.rational(want):
+            if gram[r][s] != want:
                 raise VerificationError("row orthogonality fails at rows "
                                         "%d, %d" % (r, s))
 
@@ -254,8 +303,7 @@ def character_table(group: ReflectionGroup,
             j = classes.class_of[group.mul_index(inv_of[x], rep)]
             mats[i][j][m] += 1
 
-    vectors = _common_eigenvectors([[row[:] for row in mats[i]]
-                                    for i in range(1, k)], p)
+    vectors = _common_eigenvectors(mats[1:], p)
     inv_class = [classes.class_of[inv_of[rep]]
                  for rep in classes.rep_indices]
     size_inv = [pow(s, p - 2, p) for s in classes.sizes]
@@ -295,23 +343,19 @@ def character_table(group: ReflectionGroup,
                 powers.append(residues[classes.class_of[cur]])
                 cur = group.mul_index(cur, rep)
             n_inv = pow(n, p - 2, p)
-            value = CycloScalar.rational(0)
-            total = 0
+            mults = []
             for u in range(n):
                 mu = sum(powers[t] * pow(z_inv, u * t, p)
                          for t in range(n)) * n_inv % p
                 if mu > degree:
                     raise DomainError("eigenvalue multiplicity %d exceeds "
                                       "the degree bound" % mu)
-                total += mu
-                if mu:
-                    value = value + CycloScalar.rational(mu) * \
-                        CycloScalar.root_of_unity(exponent,
-                                                  u * (exponent // n))
-            if total != degree:
+                mults.append(mu)
+            if sum(mults) != degree:
                 raise DomainError("eigenvalue multiplicities do not sum "
                                   "to the degree")
-            row[j] = value
+            row[j] = _make(n, _combine(mults, _power_table(n), euler_phi(n)),
+                           1).reduce()
         rows.append((degree, row))
 
     one = CycloScalar.rational(1)
@@ -344,19 +388,15 @@ def graded_character(group: ReflectionGroup):
     return tuple(tuple(col[d] for col in columns) for d in range(top + 1))
 
 
-def _integer_inner(values, weighted, order):
-    """(1/order) sum_j values_j * weighted_j, demanding a non-negative
-    integer result."""
-    acc = CycloScalar.rational(0)
-    for v, w in zip(values, weighted):
-        acc = acc + v * w
-    if not acc.is_rational():
+def _integer_quotient(value, order):
+    """value / order, demanding a non-negative integer."""
+    if not value.is_rational():
         raise DomainError("inner product is not rational")
-    q = acc.as_rational() / order
-    if q.denominator != 1 or q < 0:
+    num = value.nums[0]
+    if value.den != 1 or num % order or num < 0:
         raise DomainError("inner product %s is not a non-negative integer"
-                          % (q,))
-    return int(q)
+                          % (value.as_rational() / order,))
+    return num // order
 
 
 def fake_degrees(group: ReflectionGroup):
@@ -370,12 +410,11 @@ def fake_degrees(group: ReflectionGroup):
     sizes = table.classes.sizes
     order = group.order
     traces = graded_character(group)
-    fakes = []
-    for row in table.irreducibles:
-        weighted = [c.conj() * CycloScalar.rational(size)
-                    for c, size in zip(row, sizes)]
-        fakes.append(RatPoly([_integer_inner(values, weighted, order)
-                              for values in traces]))
+    weighted = [[c.conj() * size for c, size in zip(row, sizes)]
+                for row in table.irreducibles]
+    inner = dot_products(weighted, traces)
+    fakes = [RatPoly([_integer_quotient(v, order) for v in line])
+             for line in inner]
     if fakes[0] != RatPoly([1]):
         raise VerificationError("trivial character has a nontrivial fake "
                                 "degree")
@@ -405,8 +444,9 @@ def induced_trivial_multiplicities(group: ReflectionGroup,
     counts = [0] * len(classes)
     for x in subgroup.elements:
         counts[classes.class_of[group.index_of(x)]] += 1
-    out = tuple(_integer_inner(row, counts, subgroup.order)
-                for row in table.irreducibles)
+    inner = dot_products(table.irreducibles,
+                         [[CycloScalar.rational(c) for c in counts]])
+    out = tuple(_integer_quotient(line[0], subgroup.order) for line in inner)
     index = group.order // subgroup.order
     if sum(m * d for m, d in zip(out, table.degrees)) != index:
         raise VerificationError("induced multiplicities do not add up to "

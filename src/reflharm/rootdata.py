@@ -21,10 +21,12 @@ normalizer and the intersection with W' are counted on indices alone
 
 from __future__ import annotations
 
+import math
+
 from .errors import DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, weyl_group
-from .linalg import mat_inv, mat_mul, mat_vec
-from .scalars import CycloScalar, qq
+from .linalg import mat_inv, mat_mul
+from .scalars import QQ, CycloScalar, qq
 
 SUBSYSTEM_PRESETS = {
     "C2:long-A1A1": ("C2", ((2, 0), (0, 2))),
@@ -40,10 +42,25 @@ def _coerce_vector(vec, dim):
 
 
 def _apply(mat, vec):
-    out = mat_vec(mat, [CycloScalar.rational(x) for x in vec])
-    if not all(x.is_rational() for x in out):
-        raise DomainError("matrix moved a root outside rational space")
-    return tuple(x.as_rational() for x in out)
+    """mat * vec for a rational matrix and a rational vector, on integers:
+    the vector over one denominator, each row's sum over the product of its
+    entries' denominators."""
+    dv = math.lcm(*(x.denominator for x in vec))
+    nv = [x.numerator * (dv // x.denominator) for x in vec]
+    out = []
+    for row in mat:
+        num, den = 0, 1
+        for x, v in zip(row, nv):
+            if x.order != 1 and any(x.nums[1:]):
+                raise DomainError("matrix with irrational entries cannot "
+                                  "act on roots")
+            if x.den == den:
+                num += x.nums[0] * v
+            else:
+                num, den = num * x.den + x.nums[0] * v * den, den * x.den
+        den *= dv
+        out.append(QQ(num) if den == 1 else QQ(num, den))
+    return tuple(out)
 
 
 def _is_positive(vec) -> bool:

@@ -26,6 +26,7 @@ by a Galois trace on the integer numerators.
 from __future__ import annotations
 
 import math
+import operator
 from functools import lru_cache
 
 from .errors import DomainError, UsageError
@@ -728,6 +729,53 @@ def from_numerators(nums, den: int, n: int) -> list:
         chunk = nums[k:k + phi]
         out.append(_make(n, chunk, den) if any(chunk[1:])
                    else _make(1, chunk[:1], den))
+    return out
+
+
+def dot_products(rows, cols) -> list:
+    """Entry (r, s) is sum_j rows[r][j] * cols[s][j], inside Q(zeta_n) for
+    n the lcm of the entries' minimal conductors (a rational at 1).
+
+    Each row and column is written once as integers over one denominator.
+    At n > 1 an entry's phi(n) numerators are packed into one int at base
+    2^shift (Kronecker substitution), so a dot product is K big-int
+    products; every coefficient of the packed sum is at most
+    B = K * phi * max|a| * max|b| in absolute value, and shift exceeds the
+    bit length of 2B, so signed digits read them back exactly."""
+    n = math.lcm(*(v.reduce().order for vec in (*rows, *cols) for v in vec))
+    rows = [numerators_at(vec, n) for vec in rows]
+    cols = [numerators_at(vec, n) for vec in cols]
+    if n == 1:
+        return [[_make(1, (sum(map(operator.mul, a, b)),), da * db)
+                 for b, db in cols] for a, da in rows]
+    phi = euler_phi(n)
+    top_a, top_b = (max((abs(x) for nums, _ in side for x in nums), default=0)
+                    for side in (rows, cols))
+    width = max((len(nums) for nums, _ in rows), default=0)  # K * phi
+    shift = (width * top_a * top_b).bit_length() + 2
+    mask, half = (1 << shift) - 1, 1 << (shift - 1)
+    table = [_power_table(n)[k % n] for k in range(2 * phi - 1)]
+
+    def pack(nums):
+        return [sum(x << (shift * i) for i, x in enumerate(nums[k:k + phi]))
+                for k in range(0, len(nums), phi)]
+
+    rows = [(pack(nums), den) for nums, den in rows]
+    cols = [(pack(nums), den) for nums, den in cols]
+    out = []
+    for a, da in rows:
+        line = []
+        for b, db in cols:
+            acc = sum(map(operator.mul, a, b))
+            conv = []
+            for _ in range(2 * phi - 1):
+                digit = acc & mask
+                if digit >= half:
+                    digit -= 1 << shift
+                conv.append(digit)
+                acc = (acc - digit) >> shift
+            line.append(_make(n, _combine(conv, table, phi), da * db))
+        out.append(line)
     return out
 
 

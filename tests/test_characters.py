@@ -1,13 +1,20 @@
 """Conjugacy classes, character tables, fake degrees, inductions."""
 
+import hashlib
+import itertools
+import json
+import pathlib
 import random
 
 import pytest
 
 from reflharm import characters
 from reflharm.characters import (
+    TABLE_CAP,
+    _charpoly_mod,
     _coordinates_mod,
     _kernel_mod,
+    _validate_table,
     character_table,
     fake_degrees,
     graded_character,
@@ -298,3 +305,118 @@ def test_coordinates_mod_rejects_vector_outside_span():
     basis = [[1, 0, 0], [0, 1, 0]]
     with pytest.raises(DomainError):
         _coordinates_mod(basis, [[0, 0, 1]], P)
+
+
+def _det_mod(mat, p):
+    """Leibniz expansion, independent of any elimination."""
+    m = len(mat)
+    total = 0
+    for perm in itertools.permutations(range(m)):
+        sign = (-1) ** sum(1 for i in range(m) for j in range(i)
+                           if perm[j] > perm[i])
+        term = sign
+        for i in range(m):
+            term *= mat[i][perm[i]]
+        total += term
+    return total % p
+
+
+def _random_matrices(rng):
+    for _ in range(40):
+        m = rng.randint(1, 5)
+        yield [[rng.choice([0, rng.randint(-30, 30)]) for _ in range(m)]
+               for _ in range(m)]
+        # upper Hessenberg already, with some subdiagonal entries zero
+        yield [[0 if r > c + 1 or (r == c + 1 and rng.random() < 0.5)
+                else rng.randint(-30, 30) for c in range(m)]
+               for r in range(m)]
+
+
+def test_charpoly_mod_is_det_of_the_shift():
+    # deg < P, so agreeing at every lambda in F_P is agreeing as
+    # polynomials; in particular the roots are the singular shifts
+    rng = random.Random(11)
+    for mat in _random_matrices(rng):
+        m = len(mat)
+        poly = _charpoly_mod(mat, P)
+        assert len(poly) == m + 1 and poly[-1] == 1
+        for lam in range(P):
+            shifted = [[(lam if r == c else 0) - mat[r][c] for c in range(m)]
+                       for r in range(m)]
+            value = sum(c * lam ** i for i, c in enumerate(poly)) % P
+            assert value == _det_mod(shifted, P), (mat, lam)
+
+
+# negative controls for the exact checks
+
+def _table_rows(name):
+    group = catalog(name)
+    table = character_table(group)
+    return group, table.classes, [list(row) for row in table.irreducibles]
+
+
+def test_validate_table_accepts_the_computed_table():
+    group, classes, rows = _table_rows("gmpn:3:1:2")
+    _validate_table(group, classes, rows)
+
+
+def test_validate_table_rejects_a_value_times_zeta3():
+    group, classes, rows = _table_rows("gmpn:3:1:2")
+    r, j = next((r, j) for r in range(1, len(rows))
+                for j in range(1, len(classes)) if rows[r][j])
+    rows[r][j] = rows[r][j] * CycloScalar.root_of_unity(3)
+    with pytest.raises(VerificationError):
+        _validate_table(group, classes, rows)
+
+
+def test_validate_table_rejects_two_swapped_columns():
+    group, classes, rows = _table_rows("gmpn:3:1:2")
+    sizes = classes.sizes
+    a, b = next((a, b) for a in range(1, len(sizes))
+                for b in range(a + 1, len(sizes)) if sizes[a] != sizes[b])
+    for row in rows:
+        row[a], row[b] = row[b], row[a]
+    with pytest.raises(VerificationError):
+        _validate_table(group, classes, rows)
+
+
+@pytest.mark.parametrize("change", [
+    # the trivial character meets the identity class once more: 1/|G|
+    lambda d, j, v: v + 1 if d == 0 and j == 0 else v,
+    lambda d, j, v: -v,
+    lambda d, j, v: v * CycloScalar.root_of_unity(3) if d == 0 else v,
+], ids=["non-integral", "negative", "non-rational"])
+def test_fake_degrees_demand_non_negative_integers(monkeypatch, change):
+    group = catalog("gmpn:3:1:2")
+    traces = graded_character(group)
+    bad = tuple(tuple(change(d, j, v) for j, v in enumerate(line))
+                for d, line in enumerate(traces))
+    monkeypatch.setattr(characters, "graded_character", lambda g: bad)
+    with pytest.raises(DomainError):
+        fake_degrees(group)
+
+
+# character tables and fake degrees pinned on the whole registry
+
+DIGESTS = pathlib.Path(__file__).parent / "character_digests.json"
+
+
+def test_registry_tables_and_fake_degrees_match_stored_digests():
+    """SHA-256 of the table JSON and of the fake-degree JSON, per registry
+    group within TABLE_CAP, as recorded before the character layer moved
+    to packed integer products."""
+    stored = json.loads(DIGESTS.read_text())
+    seen, wrong = [], []
+    for name in registry_names():
+        group = catalog(name)
+        if group.order > TABLE_CAP:
+            continue
+        seen.append(name)
+        table = json.dumps(character_table(group).to_json(), sort_keys=True)
+        fakes = json.dumps([p.to_json() for p in fake_degrees(group)])
+        got = [hashlib.sha256(text.encode()).hexdigest()
+               for text in (table, fakes)]
+        if got != stored.get(name):
+            wrong.append(name)
+    assert seen == list(stored)
+    assert wrong == []

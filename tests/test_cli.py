@@ -326,6 +326,17 @@ def test_shear_twist_is_usage_error(capsys, tmp_path):
     assert "does not normalize the Weyl group" in err
 
 
+def test_irrational_twist_is_domain_error(capsys, tmp_path):
+    # zeta_3 * Id normalises every group, but sends roots out of Q^2
+    z3 = {"order": 3, "coeffs": [0, 1]}
+    path = tmp_path / "twist.json"
+    path.write_text(json.dumps({"F0": [[z3, 0], [0, z3]]}))
+    code, out, err = run_cli(capsys, "count", "C2", "long-A1A1",
+                             "--twist", str(path))
+    assert code == 3 and out == ""
+    assert "rational" in err
+
+
 _ID2 = [[1, 0], [0, 1]]
 _SWAP2 = [[0, 1], [1, 0]]
 

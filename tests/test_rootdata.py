@@ -3,7 +3,7 @@
 import pytest
 
 from reflharm import groups, linalg, rootdata
-from reflharm.errors import UsageError
+from reflharm.errors import DomainError, UsageError
 from reflharm.rootdata import (
     SUBSYSTEM_PRESETS,
     build_root_datum,
@@ -13,6 +13,7 @@ from reflharm.rootdata import (
     subsystem,
     subsystem_preset,
 )
+from reflharm.scalars import QQ, CycloScalar
 
 ROOT_COUNTS = [
     ("A", 1, 2),
@@ -72,6 +73,17 @@ def test_reflection_of_lands_in_group():
         image = tuple(-x for x in root)
         from reflharm.rootdata import _apply
         assert _apply(mat, root) == image
+
+
+def test_apply_needs_a_rational_matrix():
+    datum = build_root_datum("C", 2)
+    z3 = CycloScalar.root_of_unity(3)
+    zero = CycloScalar.rational(0)
+    with pytest.raises(DomainError):
+        rootdata._apply([[z3, zero], [zero, z3]], datum.simples[0])
+    half = CycloScalar.rational(QQ(1, 2))
+    assert rootdata._apply([[half, zero], [zero, half * 3]],
+                           (QQ(2, 3), 5)) == (QQ(1, 3), QQ(15, 2))
 
 
 def test_reflection_of_negative_matches_positive():

@@ -16,6 +16,7 @@ from reflharm.scalars import (
     RatPoly,
     cyclotomic_polynomial,
     divisors,
+    dot_products,
     euler_phi,
     from_numerators,
     numerators_at,
@@ -515,3 +516,58 @@ def test_outputs_match_a_per_coefficient_fraction_reference(a, b):
         assert str(x) == _ref_display(red.order, ref)
         if red.order == 1:
             assert x.as_rational() == ref[0]
+
+
+# ---------------------------------------------------------------------------
+# packed dot products
+
+_BIG = 2 ** 80
+_packed_numerators = st.one_of(st.integers(-6, 6),
+                               st.integers(_BIG - 9, _BIG),
+                               st.integers(-_BIG, 9 - _BIG))
+
+
+@st.composite
+def _packed_scalars(draw):
+    order = draw(st.sampled_from((1, 3, 4, 5, 8, 12)))
+    phi = euler_phi(order)
+    den = draw(st.sampled_from((1, 1, 2, 3, 35)))
+    nums = draw(st.lists(_packed_numerators, min_size=phi, max_size=phi))
+    return CycloScalar(order, [Fraction(x, den) for x in nums])
+
+
+def _packed_matrix(draw, width):
+    height = draw(st.integers(0, 3))
+    return [draw(st.lists(_packed_scalars(), min_size=width,
+                          max_size=width)) for _ in range(height)]
+
+
+def _assert_dot_products(rows, cols):
+    got = dot_products(rows, cols)
+    want = [[sum((a * b for a, b in zip(row, col)), CycloScalar.rational(0))
+             for col in cols] for row in rows]
+    assert len(got) == len(rows)
+    for got_line, want_line in zip(got, want):
+        assert len(got_line) == len(cols)
+        for g, w in zip(got_line, want_line):
+            _assert_canonical(g)
+            assert g == w
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_dot_products_match_the_cyclotomic_sum(data):
+    # every entry draws its own conductor, so rows mix conductors
+    width = data.draw(st.integers(0, 4))
+    _assert_dot_products(_packed_matrix(data.draw, width),
+                         _packed_matrix(data.draw, width))
+
+
+@pytest.mark.parametrize("order", [1, 3, 4, 5, 8, 12])
+def test_dot_products_reach_the_shift_bound(order):
+    # equal numerators of opposite signs: the middle coefficient of each
+    # packed sum is -K * phi * max|a| * max|b|, the bound itself
+    phi = euler_phi(order)
+    a = CycloScalar(order, [_BIG] * phi)
+    b = CycloScalar(order, [-_BIG] * phi)
+    _assert_dot_products([[a] * 3, [b] * 3], [[b] * 3, [a] * 3, [a, b, a]])
