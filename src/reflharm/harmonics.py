@@ -19,9 +19,10 @@ The module computes, exactly:
     over its generators);
   * the projection S_d = H_d + F_d through the Gram matrix of the pairing
     of H_d with the opposite-side H'_d, whose annihilator is F_d;
-  * for the cross-checks only: the Reynolds (averaging) projection, echelon
-    bases of the invariant spaces S^G_d, free generators and the graded
-    invariant ideal F.
+  * for the cross-checks only: echelon bases of the invariant spaces
+    S^G_d (the generators' fixed points on the degree-d monomials), free
+    generators, the graded invariant ideal F, and the Reynolds (averaging)
+    projection that tests use as a reference.
 
 Harmonic degrees are capped at N = deg(skew product); H vanishes above N.
 
@@ -290,52 +291,23 @@ def _peel_degrees(series: tuple, ell: int):
 
 
 def invariant_basis(group: ReflectionGroup, d: int, space: str = CONTRAVARIANT):
-    """Echelon basis of S^G_d.
-
-    Products of lower-degree invariants are collected first; missing
-    dimensions (new free generators) are topped up by Reynolds averages of
-    degree-d monomials.  The dimension is checked against the Molien
-    coefficient.
-    """
+    """Echelon basis of S^G_d: the generators' fixed points on the
+    degree-d monomials (fixed_point_basis), its dimension checked against
+    the Molien coefficient."""
     if d < 0:
         raise UsageError("degree must be non-negative")
     ctx = _ctx(group)
     key = ("inv", space, d)
     if key in ctx:
         return list(ctx[key])
-    nv = group.dim
-    if d == 0:
-        out = [MPoly.constant(space, nv, 1)]
-        ctx[key] = tuple(out)
-        return list(out)
+    monomials = GradedBasis(space, group.dim, {d: [
+        MPoly.monomial(space, m) for m in monomials_of_degree(group.dim, d)]})
+    out = fixed_point_basis(monomials, group).basis(d)
     target = int(molien(group, d)[d])
-    monos = monomials_of_degree(nv, d)
-    rows = []
-    if target:
-        for e in range(1, d // 2 + 1):
-            for p in invariant_basis(group, e, space):
-                for q in invariant_basis(group, d - e, space):
-                    rows.append((p * q).coeff_vector(monos))
-        if rows:
-            rows, _ = rref(rows)
-        if len(rows) < target:
-            solver = SpanSolver(rows)
-            for exps in monos:
-                avg = reynolds(group, MPoly.monomial(space, exps))
-                if avg.is_zero():
-                    continue
-                v = avg.coeff_vector(monos)
-                if not solver.contains(v):
-                    rows.append(v)
-                    if len(rows) == target:
-                        break
-                    solver = SpanSolver(rows)
-            rows, _ = rref(rows)
-        if len(rows) != target:
-            raise DomainError(
-                "invariant space at degree %d has dimension %d, Molien says %d"
-                % (d, len(rows), target))
-    out = [MPoly.from_vector(space, monos, r) for r in rows]
+    if len(out) != target:
+        raise DomainError(
+            "invariant space at degree %d has dimension %d, Molien says %d"
+            % (d, len(out), target))
     ctx[key] = tuple(out)
     return list(out)
 

@@ -22,8 +22,11 @@ For C3 over A1 x C2 that is q^4 + q^6 + q^8, where the graded form
 The twisted count replaces the plain dimension with an inner product over
 the finite group generated by C and a twisting matrix F0 of finite order:
 the weight function is supported on the coset C*F0^{-1} and takes the
-prescribed class-function values there.  The action of a coset element
-on the fixed harmonics is its literal matrix action on polynomials;
+prescribed class-function values there.  It must be constant on the
+classes f_classes(C, F0^{-1}) of c ~ x c F^{-1}(x)^{-1}, on which the traces
+of c*F0^{-1} are constant: x c F^{-1}(x)^{-1} F0^{-1} = x c F0^{-1} x^{-1}.
+When F0^2 = 1 they are the classes of F0 as well.  The action of a coset
+element on the fixed harmonics is its literal matrix action on polynomials;
 reports carry that convention as metadata since other normalizations are
 conceivable.  No group is closed over C and F0: F0 normalises C (it
 normalises W and fixes the simple system of W'), so the group is C<F0>,
@@ -53,9 +56,10 @@ class TwistData:
     """A finite-order twisting matrix together with a weight function on C.
 
     The weight is one of: the constant 1 ("one"), the characteristic
-    function of the F-class of a given element ("indicator"), or explicit
+    function of the class of a given element ("indicator"), or explicit
     per-element values ("values", a list of (matrix, scalar) pairs that
-    must cover C and be constant on F-classes).
+    must cover C and be constant on classes), the classes being those of
+    c ~ x c F^{-1}(x)^{-1}, on which the traces of c F0^{-1} are constant.
     """
 
     def __init__(self, f0, g_kind: str = "one", g_data=None):
@@ -96,11 +100,12 @@ class TwistData:
         raise UsageError("twist weight must be \"one\", an indicator, or "
                          "explicit values")
 
-    def weight_values(self, cgroup: ReflectionGroup, f0) -> dict:
+    def weight_values(self, cgroup: ReflectionGroup, f0_inv) -> dict:
         """Map the index in C of each element to its weight, validated to
-        be constant on F-classes.  Listed elements outside C are ignored;
-        one element listed with two different values is an error."""
-        classes = f_classes(cgroup, f0)
+        be constant on f_classes(cgroup, f0_inv), where the traces of
+        c F0^{-1} are constant.  Listed elements outside C are ignored; one
+        element listed with two different values is an error."""
+        classes = f_classes(cgroup, f0_inv)
         one, zero = CycloScalar.rational(1), CycloScalar.rational(0)
         if self.g_kind == "one":
             return dict.fromkeys(range(cgroup.order), one)
@@ -123,7 +128,7 @@ class TwistData:
             if any(v is None for v in vals):
                 raise UsageError("weight values do not cover C")
             if any(v != vals[0] for v in vals):
-                raise UsageError("weight is not constant on an F-class")
+                raise UsageError("weight is not constant on a class of C")
             values.update(dict.fromkeys(cls, vals[0]))
         return values
 
@@ -193,7 +198,7 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
             raise CapError("no power of the twisting matrix up to %d lies "
                            "in C" % _ORDER_CAP)
         k, power = k + 1, mat_mul(power, f0)
-    weights = twist.weight_values(cgroup, f0)
+    weights = twist.weight_values(cgroup, f0_inv)
     fixed = fixed_point_basis(harmonic_basis(w), sub.group)
     span = datum.npositive - sub.nprime
     unit = QQ(1, k * cgroup.order)

@@ -119,6 +119,105 @@ def test_invariant_basis_fixtures():
     assert [e for e, _ in cov[0].sorted_terms()] == [(2, 0), (0, 2)]
 
 
+def _over_zeta3(name):
+    """catalog(name) conjugated by diag(1, ..., 1, zeta_3): the same group
+    written over Q(zeta_3), with a non-rational skew product and
+    non-rational invariants; monomial exactly when catalog(name) is."""
+    group = catalog(name)
+    n = group.dim
+    zeta = CycloScalar.root_of_unity(3)
+
+    def diag(last):
+        return [[(last if i == n - 1 else ONE) if i == j else ONE * 0
+                 for j in range(n)] for i in range(n)]
+
+    conj, conj_inv = diag(zeta), diag(zeta.inv())
+    return ReflectionGroup([mat_mul(mat_mul(conj, g), conj_inv)
+                            for g in group.generators])
+
+
+def _fresh(name):
+    """A new group object, so no invariant basis is cached on it."""
+    if name.endswith(" over zeta_3"):
+        return _over_zeta3(name.split()[0])
+    return ReflectionGroup(list(catalog(name).generators))
+
+
+def _reynolds_invariants(group, d, space):
+    """Reference S^G_d: the rref of the Reynolds averages of every degree-d
+    monomial."""
+    monos = monomials_of_degree(group.dim, d)
+    ech, _ = rref([reynolds(group, MPoly.monomial(space, m)).coeff_vector(monos)
+                   for m in monos])
+    return [MPoly.from_vector(space, monos, r) for r in ech]
+
+
+# rational and not monomial, twice; complex and monomial, twice (the second
+# with non-rational entries); complex and not monomial
+_INVARIANT_ORACLE_GROUPS = ["weyl:A:3", "weyl:G2:2", "gmpn:3:1:2",
+                            "weyl:B:2 over zeta_3", "weyl:A:2 over zeta_3"]
+
+
+@pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
+@pytest.mark.parametrize("name", _INVARIANT_ORACLE_GROUPS)
+def test_invariant_basis_matches_reynolds_oracle(name, space):
+    group = _fresh(name)
+    for d in range(max(invariant_degrees(group)) + 1):
+        assert invariant_basis(group, d, space) == \
+            _reynolds_invariants(group, d, space), d
+
+
+@pytest.mark.parametrize("name", ["weyl:A:3", "weyl:A:2 over zeta_3"])
+def test_invariant_basis_takes_no_group_average(monkeypatch, name):
+    """S^G_d is read off fixed_point_basis: no Reynolds average and no span
+    solver."""
+    def refuse(*args):
+        raise AssertionError("invariant_basis averaged or solved a span")
+
+    group = _fresh(name)
+    want = {(d, space): _reynolds_invariants(group, d, space)
+            for d in range(max(invariant_degrees(group)) + 1)
+            for space in (CONTRAVARIANT, COVARIANT)}
+    monkeypatch.setattr(harmonics, "reynolds", refuse)
+    monkeypatch.setattr(harmonics, "SpanSolver", refuse)
+    got = {(d, space): invariant_basis(group, d, space) for d, space in want}
+    assert got == want
+
+
+INVARIANT_DIGESTS = pathlib.Path(__file__).parent / "invariant_digests.json"
+
+
+def test_registry_invariant_rings_match_stored_digests():
+    """Per registry group of order <= 200, the SHA-256 of the invariant
+    bases up to the top degree and of the free generators, the
+    contravariant side then the covariant one, as recorded when S^G_d was
+    still built from products of invariants and Reynolds averages.  The
+    same texts fed to one hash, in registry order, give the combined
+    digest."""
+    stored = json.loads(INVARIANT_DIGESTS.read_text())
+    names = registry_names(200)
+    combined = hashlib.sha256()
+    wrong = []
+    for name in names:
+        group = catalog(name)
+        per_group = hashlib.sha256()
+        for space in (CONTRAVARIANT, COVARIANT):
+            text = json.dumps({
+                "invariants": [[p.to_json()
+                                for p in invariant_basis(group, d, space)]
+                               for d in range(max(invariant_degrees(group)) + 1)],
+                "free": [p.to_json() for p in free_generators(group, space)],
+            }, sort_keys=True)
+            combined.update(text.encode())
+            per_group.update(text.encode())
+        if per_group.hexdigest() != stored.get(name):
+            wrong.append(name)
+    assert names == list(stored)
+    assert wrong == []
+    assert combined.hexdigest() == \
+        "f651006f6595bb4576a32d348bdd29db3088c3e7264e17688daec6df043fcdb2"
+
+
 def test_free_generators():
     b2 = catalog("weyl:B:2")
     gens = free_generators(b2)
@@ -238,11 +337,7 @@ def test_routes_agree_on_cyclotomic_rows(monkeypatch, space):
     product and non-rational invariants, so both routes send their rows
     through the field loop of rref rather than the integer one."""
     b2 = catalog("weyl:B:2")
-    zeta = CycloScalar.root_of_unity(3)
-    zero = ONE * 0
-    conj, conj_inv = [[ONE, zero], [zero, zeta]], [[ONE, zero], [zero, zeta.inv()]]
-    group = ReflectionGroup([mat_mul(mat_mul(conj, g), conj_inv)
-                             for g in b2.generators])
+    group = _over_zeta3("weyl:B:2")
     # group data first, so the spy sees only the routes' own rows
     group.skew_contravariant()
     group.skew_covariant()

@@ -5,7 +5,8 @@ import itertools
 import pytest
 
 from reflharm.errors import CapError, DomainError, UsageError
-from reflharm.harmonics import invariant_degrees
+from reflharm.harmonics import (action_trace, fixed_point_basis,
+                                harmonic_basis, invariant_degrees)
 from reflharm.linalg import mat_inv, mat_mul
 from reflharm.mpoly import coerce_matrix
 from reflharm.rootdata import (
@@ -356,6 +357,72 @@ def test_f_classes_match_matrix_oracle_under_swap(c2_long):
     cgroup = complement_group(datum, sub)
     swap = coerce_matrix(SWAP2)
     assert f_classes(cgroup, swap) == _f_classes_by_matrices(cgroup, swap)
+
+
+@pytest.mark.parametrize("label", ["B3", "C3"])
+def test_coset_traces_are_constant_on_inverse_twist_classes(label):
+    """tr(c F0^-1 | H(W)^W'_d) is constant on the classes of
+    c ~ x c F^-1(x)^-1, which f_classes(C, F0^-1) returns, for every
+    subsystem and every F0 in C; the classes under F0 itself mix traces
+    for two of the pairs."""
+    datum = root_datum_from_label(label)
+    H = harmonic_basis(datum.group)
+    pairs = mixed_under_f0 = 0
+    for sub in _all_subsystems(datum):
+        cgroup = complement_group(datum, sub)
+        fixed = fixed_point_basis(H, sub.group)
+        for f0 in cgroup.elements:
+            f0_inv = mat_inv(f0)
+            traces = [tuple(action_trace(fixed, d, mat_mul(c, f0_inv))
+                            for d in sorted(fixed.degrees))
+                      for c in cgroup.elements]
+            for cls in f_classes(cgroup, f0_inv):
+                assert len({traces[i] for i in cls}) == 1, sub.simples
+            pairs += 1
+            mixed_under_f0 += any(len({traces[i] for i in cls}) > 1
+                                  for cls in f_classes(cgroup, f0))
+    assert (pairs, mixed_under_f0) == (116, 2)
+
+
+@pytest.fixture(scope="module")
+def b3_order_three_twist():
+    """B3 over the subsystem with simples e1, e2, e3, whose complement has
+    order 6, and an F0 of order 3 in it, so F0^2 != 1; with the classes
+    of F0 and of F0^-1, as sets of indices."""
+    datum = root_datum_from_label("B3")
+    sub = subsystem(datum, [(1, 0, 0), (0, 1, 0), (0, 0, 1)])
+    cgroup = complement_group(datum, sub)
+    assert cgroup.order == 6
+    f0 = next(cgroup.element(i) for i in range(cgroup.order)
+              if cgroup.element_order(i) == 3)
+    under_f0 = f_classes(cgroup, f0)
+    under_f0_inv = f_classes(cgroup, mat_inv(f0))
+    assert under_f0 != under_f0_inv
+    return datum, sub, cgroup, f0, under_f0, under_f0_inv
+
+
+def _identity_class_weight(cgroup, classes):
+    """Explicit values: 1 on the class of the identity, 0 elsewhere."""
+    ident = next(cls for cls in classes if 0 in cls)
+    return [(cgroup.element(i), 1 if i in ident else 0)
+            for i in range(cgroup.order)]
+
+
+def test_twisted_weight_constant_on_inverse_twist_classes(
+        b3_order_three_twist):
+    datum, sub, cgroup, f0, _, under_f0_inv = b3_order_three_twist
+    values = _identity_class_weight(cgroup, under_f0_inv)
+    got = count_twisted(datum, sub, TwistData(f0, "values", values))
+    ident = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    assert got == count_twisted(datum, sub, TwistData.indicator(f0, ident))
+
+
+def test_twisted_weight_constant_on_twist_classes_only_is_refused(
+        b3_order_three_twist):
+    datum, sub, cgroup, f0, under_f0, _ = b3_order_three_twist
+    values = _identity_class_weight(cgroup, under_f0)
+    with pytest.raises(UsageError, match="not constant"):
+        count_twisted(datum, sub, TwistData(f0, "values", values))
 
 
 def test_twisted_report_metadata(c2_long):
