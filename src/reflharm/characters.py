@@ -29,11 +29,10 @@ verify_fake_degree_formula compares.
 
 from __future__ import annotations
 
-import weakref
-
 from .errors import CapError, DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, conjugacy_classes
 from .harmonics import (
+    _ctx,
     class_series,
     fixed_point_basis,
     harmonic_basis,
@@ -46,16 +45,6 @@ from .scalars import (CycloScalar, RatPoly, _combine, _make, _power_table,
                       dot_products, euler_phi, prime_factors)
 
 TABLE_CAP = 2000
-
-_CACHE = weakref.WeakKeyDictionary()
-
-
-def _ctx(group):
-    ctx = _CACHE.get(group)
-    if ctx is None:
-        ctx = {}
-        _CACHE[group] = ctx
-    return ctx
 
 
 def _choose_prime(order: int, exponent: int) -> int:

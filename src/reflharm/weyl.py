@@ -21,33 +21,44 @@ For C3 over A1 x C2 that is q^4 + q^6 + q^8, where the graded form
 
 The twisted count replaces the plain dimension with an inner product over
 the finite group generated by C and a twisting matrix F0 of finite order:
-the weight function is supported on the coset C*F0^{-1} and takes the
-prescribed class-function values there.  It must be constant on the
-classes f_classes(C, F0^{-1}) of c ~ x c F^{-1}(x)^{-1}, on which the traces
-of c*F0^{-1} are constant: x c F^{-1}(x)^{-1} F0^{-1} = x c F0^{-1} x^{-1}.
-When F0^2 = 1 they are the classes of F0 as well.  The action of a coset
-element on the fixed harmonics is its literal matrix action on polynomials;
-reports carry that convention as metadata since other normalizations are
-conceivable.  No group is closed over C and F0: F0 normalises C (it
-normalises W and fixes the simple system of W'), so the group is C<F0>,
-of order k|C| for the least k >= 1 with F0^k in C.  Elements of C are
-named by their indices in C (ReflectionGroup.index_of): f_classes
-returns frozensets of indices, and the weight function is keyed by them.
+the coefficient of q^{2(N - N') - d} is
 
-With F0 the identity and weight constantly 1 the twisted formula
-collapses to the split one exactly; that collapse and the partition of
-the split count over the F-classes of C are both covered by tests.
+    (1/(k|C|)) * sum_{c in C} conj(g(c)) * tr(c F0^{-1} | H(W)^{W'}_d),
+
+the weight function g being prescribed on the coset C*F0^{-1}.  It must
+be constant on the classes f_classes(C, F0^{-1}) of c ~ x c F^{-1}(x)^{-1},
+on which the traces of c*F0^{-1} are constant: x c F^{-1}(x)^{-1} F0^{-1}
+= x c F0^{-1} x^{-1}.  When F0^2 = 1 they are the classes of F0 as well.
+A matrix x acts on polynomials contravariantly, (x.p)(v) = p(x^{-1} v),
+as the reports' coset_action records.  No group is closed over C and F0:
+F0 normalises C (it normalises W and fixes the simple system of W'), so
+the group is C<F0>, of order k|C| for the least k >= 1 with F0^k in C.
+Elements of C are named by their indices in C (ReflectionGroup.index_of):
+f_classes returns frozensets of indices, and the weight function is keyed
+by them.  The split count is the case F0 = Id, g = 1, as W'C = N_W(W').
+
+No harmonic basis is built.  Each x = w' c F0^{-1} (w' in W') normalises
+W, and S = S^W (x) H(W) as graded modules, so (Springer, Invent. Math. 25,
+1974)
+
+    tr(x | H(W))(t) = det(Id - t x^{-1})^{-1}
+                      / ((1/|W|) sum_{w in W} det(Id - t (x w)^{-1})^{-1}),
+
+where the denominator depends only on the coset xW = F0^{-1} W, and
+tr(x | H(W)^{W'}) averages tr(w' x | H(W)) over W'.  Each x^{-1} lies in
+F0*W, so the count takes one class series per W-class of F0*W, sums them
+weighted by conj(g(c)) and by the class sizes, and divides the two.
 """
 
 from __future__ import annotations
 
 from .errors import CapError, DomainError, UsageError
 from .groups import ReflectionGroup, matrix_from_json, orbit_partition
-from .harmonics import action_trace, fixed_point_basis, harmonic_basis
+from .harmonics import class_series
 from .linalg import det, identity_matrix, mat_inv, mat_mul
 from .mpoly import coerce_matrix
 from .rootdata import RootDatum, SubsystemData, complement_group, _apply
-from .scalars import QQ, CycloScalar, RatPoly
+from .scalars import CYC_ZERO, QQ, CycloScalar, RatPoly, dot_products
 
 _ORDER_CAP = 1000
 
@@ -150,28 +161,16 @@ def f_classes(cgroup: ReflectionGroup, f0):
 
 
 def count_split(datum: RootDatum, sub: SubsystemData) -> RatPoly:
-    """Polynomial in q counting the split-case stable conjugates.
-
-    H(W)^{W'C} is taken in two steps, as (H(W)^{W'})^C: C normalizes W',
-    so it stabilizes the W'-fixed harmonics, and no group is closed over
-    W' and C together."""
-    fixed = fixed_point_basis(
-        fixed_point_basis(harmonic_basis(datum.group), sub.group),
-        complement_group(datum, sub))
-    span = datum.npositive - sub.nprime
-    coeffs = [QQ(0)] * (2 * span + 1)
-    for d in sorted(fixed.degrees):
-        if d > span:
-            raise DomainError("fixed harmonics reach degree %d, above the "
-                              "summation bound %d" % (d, span))
-        coeffs[2 * span - d] += fixed.dim(d)
-    return RatPoly(coeffs)
+    """Polynomial in q counting the split-case stable conjugates: the
+    twisted count with F0 = Id and weight 1."""
+    return count_twisted(datum, sub, TwistData.split(datum.rank))
 
 
 def count_twisted(datum: RootDatum, sub: SubsystemData,
                   twist: TwistData) -> RatPoly:
     """Polynomial in q for the twisted count; the weight lives on the
-    coset C*F0^{-1} inside the group generated by C and F0."""
+    coset C*F0^{-1} inside the group generated by C and F0.  The traces
+    come from class series of the coset F0*W (module docstring)."""
     w = datum.group
     cgroup = complement_group(datum, sub)
     f0 = twist.f0
@@ -199,26 +198,41 @@ def count_twisted(datum: RootDatum, sub: SubsystemData,
                            "in C" % _ORDER_CAP)
         k, power = k + 1, mat_mul(power, f0)
     weights = twist.weight_values(cgroup, f0_inv)
-    fixed = fixed_point_basis(harmonic_basis(w), sub.group)
+    # W-classes of F0*W as classes of v: y F0 v y^-1 = F0 (F0^-1 y F0) v y^-1
+    class_of, members = orbit_partition(w, [
+        (w.index_of(mat_mul(mat_mul(f0_inv, g), f0)),
+         w.inverse_index(w.index_of(g))) for g in w.generators])
+    # x = w' c F0^-1 has x^-1 = F0 c^-1 w'^-1, and w'^-1 runs over W'
+    tally = [CYC_ZERO] * len(members)
+    wprime = [w.index_of(g) for g in sub.group.elements]
+    for i, c in enumerate(cgroup.elements):
+        if weights[i]:
+            c_inv, value = w.inverse_index(w.index_of(c)), weights[i].conj()
+            for j in wprime:
+                kappa = class_of[w.mul_index(c_inv, j)]
+                tally[kappa] = tally[kappa] + value
+    trunc = datum.npositive + w.dim
+    series = [class_series(mat_mul(f0, w.element(m[0])), trunc)
+              for m in members]
+    num, den = dot_products(
+        [tally, [CycloScalar.rational(len(m)) for m in members]],
+        [[s[d] for s in series] for d in range(trunc + 1)])
+    # num / den, with den[0] = |W|
+    quot = []
+    for d in range(trunc + 1):
+        below = sum((den[j] * quot[d - j] for j in range(1, d + 1)), CYC_ZERO)
+        quot.append((num[d] - below) * QQ(1, w.order))
     span = datum.npositive - sub.nprime
-    unit = QQ(1, k * cgroup.order)
-    coeffs = [QQ(0)] * (2 * span + 1)
-    for d in sorted(fixed.degrees):
-        if d > span:
+    for d, value in enumerate(quot):
+        if d > span and value:
             raise DomainError("fixed harmonics reach degree %d, above the "
                               "summation bound %d" % (d, span))
-        total = CycloScalar.rational(0)
-        for i, c in enumerate(cgroup.elements):
-            weight = weights[i]
-            if not weight:
-                continue
-            trace = action_trace(fixed, d, mat_mul(c, f0_inv))
-            total = total + trace * weight.conj()
-        if not total.is_rational():
+        if d <= span and not value.is_rational():
             raise DomainError("twisted count coefficient at degree %d is "
                               "not rational" % d)
-        coeffs[2 * span - d] += total.as_rational() * unit
-    return RatPoly(coeffs)
+    scale = QQ(w.order, k * cgroup.order * sub.group.order)
+    return RatPoly([QQ(0)] * span + [quot[d].as_rational() * scale
+                                     for d in range(span, -1, -1)])
 
 
 def stabilizes_ambient_simples(datum: RootDatum, f0) -> bool:
@@ -229,29 +243,23 @@ def stabilizes_ambient_simples(datum: RootDatum, f0) -> bool:
     return {_apply(mat, s) for s in simple_set} == simple_set
 
 
-def split_report(datum: RootDatum, sub: SubsystemData) -> dict:
-    poly = count_split(datum, sub)
-    cgroup = complement_group(datum, sub)
+def _report(datum: RootDatum, sub: SubsystemData, poly: RatPoly) -> dict:
     return {
         "datum": datum.label,
         "N": datum.npositive,
         "Nprime": sub.nprime,
-        "C_order": cgroup.order,
+        "C_order": complement_group(datum, sub).order,
         "polynomial": poly.to_json(),
     }
+
+
+def split_report(datum: RootDatum, sub: SubsystemData) -> dict:
+    return _report(datum, sub, count_split(datum, sub))
 
 
 def twisted_report(datum: RootDatum, sub: SubsystemData,
                    twist: TwistData) -> dict:
-    poly = count_twisted(datum, sub, twist)
-    cgroup = complement_group(datum, sub)
-    return {
-        "datum": datum.label,
-        "N": datum.npositive,
-        "Nprime": sub.nprime,
-        "C_order": cgroup.order,
-        "polynomial": poly.to_json(),
-        "coset_action": "matrix action of c*F0^{-1} on polynomials",
-        "stabilizes_ambient_simples":
-            stabilizes_ambient_simples(datum, twist.f0),
-    }
+    return dict(_report(datum, sub, count_twisted(datum, sub, twist)),
+                coset_action="matrix action of c*F0^{-1} on polynomials",
+                stabilizes_ambient_simples=stabilizes_ambient_simples(
+                    datum, twist.f0))

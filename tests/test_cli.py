@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from reflharm import characters, harmonics
+from reflharm import characters, harmonics, weyl
 from reflharm.characters import character_table
 from reflharm.cli import main
 from reflharm.groups import catalog, registry_names, weyl_group
@@ -239,6 +239,39 @@ def test_fake_degrees_build_no_harmonic_basis(capsys, monkeypatch, name, fmt):
         monkeypatch.setattr(harmonics, attr, refuse)
     # the name verify_fake_degree_formula uses for its fixed-point route
     monkeypatch.setattr(characters, "harmonic_basis", refuse)
+    patched = run_cli(capsys, *argv)
+    monkeypatch.undo()
+    plain = run_cli(capsys, *argv)
+    assert patched[:2] == plain[:2]
+    assert plain[0] == 0
+
+
+COUNT_COMMANDS = [
+    (("count", "C3", "A1C2"), None),
+    (("count", "C2", "long-A1A1"), {"F0": [[0, 1], [1, 0]]}),
+    (("count", "C3", "A1C2"),
+     {"F0": [[1, 0, 0], [0, 1, 0], [0, 0, 1]],
+      "g": {"indicator": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}}),
+]
+
+
+@pytest.mark.parametrize("argv,twist", COUNT_COMMANDS,
+                         ids=["split", "twist-swap", "twist-indicator"])
+def test_count_builds_no_harmonic_basis(capsys, monkeypatch, tmp_path,
+                                        argv, twist):
+    """Split and twisted counts come from class series of the coset F0*W:
+    no harmonic basis, fixed-point basis, action matrix or trace."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("count built a harmonic basis")
+
+    if twist is not None:
+        path = tmp_path / "twist.json"
+        path.write_text(json.dumps(twist))
+        argv += ("--twist", str(path))
+    for attr in ("harmonic_basis", "fixed_point_basis", "action_matrix",
+                 "action_trace"):
+        monkeypatch.setattr(harmonics, attr, refuse)
+        monkeypatch.setattr(weyl, attr, refuse, raising=False)
     patched = run_cli(capsys, *argv)
     monkeypatch.undo()
     plain = run_cli(capsys, *argv)

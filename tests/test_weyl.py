@@ -1,12 +1,14 @@
 """Split and twisted counting polynomials."""
 
+import functools
 import itertools
 
 import pytest
 
+from reflharm import weyl
 from reflharm.errors import CapError, DomainError, UsageError
 from reflharm.harmonics import (action_trace, fixed_point_basis,
-                                harmonic_basis, invariant_degrees)
+                                harmonic_basis, invariant_degrees, molien)
 from reflharm.linalg import mat_inv, mat_mul
 from reflharm.mpoly import coerce_matrix
 from reflharm.rootdata import (
@@ -82,25 +84,141 @@ def test_split_value_at_one_counts_cosets(c3_a1c2):
 
 
 # Subsystems with trivial complement C, counted by hand: in A2 the three A1
-# and A2 itself; in A3 the four A2 and A3; in B3 and C3 the three A1 x B2 or
-# A1 x C2 and the whole system; in G2 the three A1 x A1 (Sylow 2-subgroups
-# of the dihedral group of order 12, so self-normalising) and G2.  Every
-# other subsystem of these data has a nontrivial C.
+# and A2 itself; in A3 the four A2 and A3; in A4 the five A3, the ten
+# A2 x A1 and A4 (the Young subgroups with distinct parts); in B3 and C3
+# the three A1 x B2 or A1 x C2 and the whole system; in G2 the three
+# A1 x A1 (Sylow 2-subgroups of the dihedral group of order 12, so
+# self-normalising) and G2.  Every other subsystem of these data has a
+# nontrivial C.
 TRIVIAL_COMPLEMENT_COUNTS = [
-    ("A1", 1), ("A2", 4), ("A3", 5), ("B2", 1),
+    ("A1", 1), ("A2", 4), ("A3", 5), ("A4", 16), ("B2", 1),
     ("B3", 4), ("C2", 1), ("C3", 4), ("G2", 4),
 ]
 
 
-def _all_subsystems(datum):
-    """Every subsystem generated by at most rank positive roots, one per
-    root set; a simple system has at most rank members, so none is missed."""
+@functools.lru_cache(maxsize=None)
+def _datum_and_subsystems(label):
+    """A root datum and every subsystem generated by at most rank positive
+    roots, one per root set; a simple system has at most rank members, so
+    none is missed.  Cached per label, so the tests share each datum's
+    harmonic basis and complements."""
+    datum = root_datum_from_label(label)
     found = {}
     for k in range(1, datum.rank + 1):
         for seeds in itertools.combinations(datum.positives, k):
             sub = subsystem(datum, seeds)
             found.setdefault(frozenset(sub.roots), sub)
-    return list(found.values())
+    return datum, list(found.values())
+
+
+def _count_by_bases(datum, sub, twist=None):
+    """The counts from harmonic bases, as the library computed them before
+    it read class series: without a twist, dim (H(W)^W')^C_d from two
+    fixed_point_basis kernels; with one, the action traces of c F0^-1 on
+    H(W)^W' weighted by conj(g(c)) over k|C|.  Validation is left to
+    count_twisted."""
+    fixed = fixed_point_basis(harmonic_basis(datum.group), sub.group)
+    cgroup = complement_group(datum, sub)
+    span = datum.npositive - sub.nprime
+    coeffs = [QQ(0)] * (2 * span + 1)
+    if twist is None:
+        fixed = fixed_point_basis(fixed, cgroup)
+        for d in fixed.degrees:
+            coeffs[2 * span - d] += fixed.dim(d)
+        return RatPoly(coeffs)
+    f0 = twist.f0
+    f0_inv = mat_inv(f0)
+    k, power = 1, f0
+    while not cgroup.contains_matrix(power):
+        k, power = k + 1, mat_mul(power, f0)
+    weights = twist.weight_values(cgroup, f0_inv)
+    for d in fixed.degrees:
+        total = CycloScalar.rational(0)
+        for i, c in enumerate(cgroup.elements):
+            if weights[i]:
+                total = total + action_trace(fixed, d, mat_mul(c, f0_inv)) \
+                    * weights[i].conj()
+        assert total.is_rational()
+        coeffs[2 * span - d] += total.as_rational() * QQ(1, k * cgroup.order)
+    return RatPoly(coeffs)
+
+
+@pytest.mark.parametrize("label", ["C2", "G2", "A3", "B3", "C3"])
+def test_split_matches_basis_oracle(label):
+    datum, subs = _datum_and_subsystems(label)
+    for sub in subs:
+        assert count_split(datum, sub) == _count_by_bases(datum, sub), \
+            sub.simples
+
+
+@pytest.mark.parametrize("label", ["C2", "G2", "A3"])
+def test_twisted_matches_basis_oracle_on_inner_twists(label):
+    # every F0 in C, with the indicator of every element of C
+    datum, subs = _datum_and_subsystems(label)
+    for sub in subs:
+        cgroup = complement_group(datum, sub)
+        for f0 in cgroup.elements:
+            for element in cgroup.elements:
+                twist = TwistData.indicator(f0, element)
+                assert count_twisted(datum, sub, twist) == \
+                    _count_by_bases(datum, sub, twist), sub.simples
+
+
+# The diagram automorphism of A3 reverses the simple-root coordinates; it
+# normalises W but lies outside it.
+A3_FLIP = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+
+
+def _flip_cases():
+    """(subsystem, twist) for each subsystem of A3 whose simple system the
+    flip stabilises: weight 1, then the indicator of each element of C."""
+    datum, subs = _datum_and_subsystems("A3")
+    flip = coerce_matrix(A3_FLIP)
+    for sub in subs:
+        simple_set = set(sub.simples)
+        if {_apply(flip, s) for s in simple_set} != simple_set:
+            continue
+        yield sub, TwistData(A3_FLIP)
+        for element in complement_group(datum, sub).elements:
+            yield sub, TwistData.indicator(A3_FLIP, element)
+
+
+def test_twisted_matches_basis_oracle_on_outer_twist():
+    datum, _ = _datum_and_subsystems("A3")
+    assert not datum.group.contains_matrix(A3_FLIP)
+    weight_one = 0
+    for sub, twist in _flip_cases():
+        assert count_twisted(datum, sub, twist) == \
+            _count_by_bases(datum, sub, twist), sub.simples
+        weight_one += twist.g_kind == "one"
+    assert weight_one == 6
+
+
+def test_outer_twist_needs_the_coset_denominator(monkeypatch):
+    # Negative control: dividing by |W| Molien(W), the series of the
+    # identity coset, in place of that of F0*W changes every weight-one
+    # count under the flip; here each quotient runs past the summation
+    # bound, which count_twisted reports as a DomainError.
+    datum, _ = _datum_and_subsystems("A3")
+    cases = [(sub, twist) for sub, twist in _flip_cases()
+             if twist.g_kind == "one"]
+    expected = [count_twisted(datum, sub, twist) for sub, twist in cases]
+    real = weyl.dot_products
+
+    def over_molien(rows, cols):
+        num, den = real(rows, cols)
+        series = molien(datum.group, len(den) - 1)
+        return [num, [CycloScalar.rational(c * datum.group.order)
+                      for c in series]]
+
+    monkeypatch.setattr(weyl, "dot_products", over_molien)
+    differ = 0
+    for (sub, twist), want in zip(cases, expected):
+        try:
+            differ += count_twisted(datum, sub, twist) != want
+        except DomainError:
+            differ += 1
+    assert (len(cases), differ) == (6, 6)
 
 
 def _degree_product(group):
@@ -115,8 +233,8 @@ def test_split_matches_lang_count_when_complement_trivial(label, expected):
     # With C trivial, N_G(L) = L and the split count is |G^F| / |L^F|
     # = q^(N-N') prod(q^d_i - 1) / prod(q^d'_i - 1).  The degrees come from
     # Molien series, which never touch the harmonic bases count_split uses.
-    datum = root_datum_from_label(label)
-    trivial = [sub for sub in _all_subsystems(datum)
+    datum, subs = _datum_and_subsystems(label)
+    trivial = [sub for sub in subs
                if complement_group(datum, sub).order == 1]
     assert len(trivial) == expected
     for sub in trivial:
@@ -145,8 +263,8 @@ def _complement_by_matrices(datum, sub):
 
 @pytest.mark.parametrize("label", ["B3", "C3", "G2"])
 def test_complement_group_matches_matrix_oracle(label):
-    datum = root_datum_from_label(label)
-    for sub in _all_subsystems(datum):
+    datum, subs = _datum_and_subsystems(label)
+    for sub in subs:
         stab, normalizer, in_both = _complement_by_matrices(datum, sub)
         assert in_both == 1, sub.simples
         assert normalizer == len(stab) * sub.group.order, sub.simples
@@ -167,7 +285,7 @@ def test_split_report_fields(c2_long):
 def test_twisted_identity_weight_one_equals_split(c2_long):
     datum, sub = c2_long
     twist = TwistData(IDENT2)
-    assert count_twisted(datum, sub, twist) == count_split(datum, sub)
+    assert count_twisted(datum, sub, twist) == _count_by_bases(datum, sub)
 
 
 def test_twisted_identity_indicators(c2_long):
@@ -344,8 +462,8 @@ def test_f_classes_match_matrix_oracle(label):
     # Every element of C normalises W' and fixes its simple system, so
     # each one is a valid F0; the order-6 and order-8 complements are not
     # abelian, so their twisted classes differ from their conjugacy classes.
-    datum = root_datum_from_label(label)
-    for sub in _all_subsystems(datum):
+    datum, subs = _datum_and_subsystems(label)
+    for sub in subs:
         cgroup = complement_group(datum, sub)
         for f0 in cgroup.elements:
             assert f_classes(cgroup, f0) == \
@@ -365,10 +483,10 @@ def test_coset_traces_are_constant_on_inverse_twist_classes(label):
     c ~ x c F^-1(x)^-1, which f_classes(C, F0^-1) returns, for every
     subsystem and every F0 in C; the classes under F0 itself mix traces
     for two of the pairs."""
-    datum = root_datum_from_label(label)
+    datum, subs = _datum_and_subsystems(label)
     H = harmonic_basis(datum.group)
     pairs = mixed_under_f0 = 0
-    for sub in _all_subsystems(datum):
+    for sub in subs:
         cgroup = complement_group(datum, sub)
         fixed = fixed_point_basis(H, sub.group)
         for f0 in cgroup.elements:
