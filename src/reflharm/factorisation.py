@@ -7,16 +7,22 @@ assembles to a linear isomorphism
     H(G') (x) H(G)^{G'}  ->  H(G)
 
 kept as one coordinate matrix M_ij per bidegree (i, j) and variable side
-on the H(G) basis, each built on first use by projecting the products of
-the basis polynomials, so a pair makes |G| projections per side.  The map
-is bilinear, so everything else reads M_ij: xi_apply takes (c_i(h') (x)
-c_j(k)) M_ij from the coordinates of its factors; verify_factorisation
-reads full rank off M_ij, together with the identity dim H(G)^{G'} =
-|G|/|G'| and the Poincare factorisation; equivariance_check tests M_ij
-against action matrices.  A dual route realises the same map through
-differentiation of the skew product; xi_dual_compare records the
-proportionality scalar between the routes per basis pair instead of
-forcing equality, since some pairs differ by a nonzero constant.
+on the H(G) basis, each built on first use.  Row (h', k) of M_ij is one
+Gram row: the inverse Gram matrix of H(G)_{i+j} applied to the pairings
+of the opposite-side harmonics with h'k, so no harmonic polynomial is
+built, and a pair takes |G| Gram rows per side.  The map is bilinear, so
+everything else reads M_ij: xi_apply takes (c_i(h') (x) c_j(k)) M_ij from
+the coordinates of its factors; verify_factorisation reads full rank off
+M_ij, together with the identity dim H(G)^{G'} = |G|/|G'| and the
+Poincare factorisation; equivariance_check tests M_ij against action
+matrices, applying A^fix_j along the k index of M_ij and then A'_i along
+the h' index, never forming their Kronecker product.  A dual route
+realises the same map through differentiation of the skew product;
+xi_dual_compare records the proportionality scalar between the routes
+per basis pair instead of forcing equality, since some pairs differ by a
+nonzero constant.  The report derives each factor's images once, D_h of
+the subgroup's skew product per h and d_map(a), e_map(a) per a, so a pair
+costs one product with M_ij and one derivative D_h d_map(a).
 """
 
 from __future__ import annotations
@@ -28,20 +34,22 @@ from .errors import UsageError
 from .groups import ReflectionGroup
 from .harmonics import (
     GradedBasis,
+    _harmonic_coords,
     action_matrix,
     by_degree,
     fixed_point_basis,
     harmonic_basis,
     harmonic_poincare,
     invariant_degrees,
-    project_to_H,
 )
-from .linalg import (echelon_coordinates, kron_vec, mat_inv, mat_mul, rref,
-                     vec_mat)
+from .linalg import (echelon_coordinates, kron_apply, kron_vec, mat_inv,
+                     mat_mul, rref, vec_mat)
 from .mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix, diff_apply
 from .scalars import CycloScalar
 
 _ZERO = CycloScalar.rational(0)
+_NOT_SUB_HARMONIC = "first factor is not a subgroup harmonic"
+_NOT_FIXED_HARMONIC = "second factor is not a subgroup-fixed harmonic"
 _PAIR_CACHE = weakref.WeakKeyDictionary()
 
 
@@ -67,22 +75,18 @@ def _fixed_harmonics(ctx, group, subgroup, space) -> GradedBasis:
     return ctx[key]
 
 
-def _coords(basis: GradedBasis, d: int, poly: MPoly):
-    """poly's coordinates on the degree-d piece, or None outside it."""
-    monos, ech, pivots = basis.piece(d)
-    return echelon_coordinates(ech, pivots, poly.coeff_vector(monos))
-
-
-def _graded_coords(basis: GradedBasis, poly: MPoly):
+def _graded_coords(basis: GradedBasis, poly: MPoly, outside: str):
     """poly's coordinates on an echelon graded basis as sorted (degree,
-    coordinates) pairs, or None when poly lies outside its span."""
+    coordinates) pairs; UsageError(outside) when poly lies outside its
+    span."""
     if poly.nvars != basis.nvars or poly.space != basis.space:
-        return None
+        raise UsageError(outside)
     out = []
     for d, part in by_degree(poly):
-        coords = _coords(basis, d, part)
+        monos, ech, pivots = basis.piece(d)
+        coords = echelon_coordinates(ech, pivots, part.coeff_vector(monos))
         if coords is None:
-            return None
+            raise UsageError(outside)
         out.append((d, coords))
     return out
 
@@ -102,12 +106,16 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
     space = hprime.space
     if k.space != space:
         raise UsageError("tensor factors live in different variable sides")
-    h_parts = _graded_coords(harmonic_basis(subgroup, space=space), hprime)
-    if h_parts is None:
-        raise UsageError("first factor is not a subgroup harmonic")
-    k_parts = _graded_coords(_fixed_harmonics(ctx, group, subgroup, space), k)
-    if k_parts is None:
-        raise UsageError("second factor is not a subgroup-fixed harmonic")
+    h_parts = _graded_coords(harmonic_basis(subgroup, space=space), hprime,
+                             _NOT_SUB_HARMONIC)
+    k_parts = _graded_coords(_fixed_harmonics(ctx, group, subgroup, space), k,
+                             _NOT_FIXED_HARMONIC)
+    return _image(ctx, group, subgroup, space, h_parts, k_parts)
+
+
+def _image(ctx, group, subgroup, space, h_parts, k_parts) -> MPoly:
+    """The image of h' (x) k given the factors' _graded_coords: the sum
+    over bidegrees (i, j) of (c_i(h') (x) c_j(k)) M_ij, as a polynomial."""
     bigH = harmonic_basis(group, space=space)
     image = {}
     for i, ch in h_parts:
@@ -127,17 +135,17 @@ def xi_apply(group: ReflectionGroup, subgroup: ReflectionGroup,
 def _mu_block(ctx, group, subgroup, space, i, j):
     """The coordinate matrix M_ij of the map on the basis tensors of
     bidegree (i, j) on one variable side, built on first use and kept in
-    the pair context: row a * dim K_j + b holds the _coords on H(G) in
-    degree i + j of the harmonic part of h'_a * k_b.  The factors are the
-    basis polynomials, so the membership checks of xi_apply are skipped."""
+    the pair context: row a * dim K_j + b holds the coordinates on H(G)
+    in degree i + j of the harmonic part of h'_a * k_b, one Gram row each,
+    so no harmonic polynomial is built.  The factors are the basis
+    polynomials, so the membership checks of xi_apply are skipped."""
     blocks = ctx.setdefault(("mu", space), {})
     block = blocks.get((i, j))
     if block is None:
         subH = harmonic_basis(subgroup, space=space)
         fixed = _fixed_harmonics(ctx, group, subgroup, space)
-        bigH = harmonic_basis(group, space=space)
         block = blocks[(i, j)] = [
-            _coords(bigH, i + j, project_to_H(group, hp * k)[0])
+            _harmonic_coords(group, i + j, hp * k)
             for hp in subH.basis(i) for k in fixed.basis(j)]
     return block
 
@@ -273,15 +281,41 @@ def _collinear_scalar(lhs: MPoly, rhs: MPoly):
     return c if lhs == rhs.scale(c) else None
 
 
+def _dual_h(subgroup, h):
+    """The h side of a dual pair: the coordinates of the subgroup harmonic
+    D_h of the subgroup's skew product."""
+    return _graded_coords(harmonic_basis(subgroup),
+                          diff_apply(h, subgroup.skew_contravariant()),
+                          _NOT_SUB_HARMONIC)
+
+
+def _dual_a(ctx, group, subgroup, a):
+    """The a side of a dual pair: d_map(a) and the coordinates of
+    e_map(a) on the subgroup-fixed harmonics."""
+    fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
+    return d_map(group, a), _graded_coords(fixed, e_map(group, subgroup, a),
+                                           _NOT_FIXED_HARMONIC)
+
+
+def _dual_pair(ctx, group, subgroup, h, h_parts, a_side):
+    """(lhs, rhs, scalar) of xi_dual_compare from the factors' _dual_h and
+    _dual_a.  rhs = D_h d_map(a) is D_(ah) of the skew product, since
+    constant-coefficient operators commute."""
+    d_a, k_parts = a_side
+    lhs = _image(ctx, group, subgroup, CONTRAVARIANT, h_parts, k_parts)
+    rhs = diff_apply(h, d_a)
+    return lhs, rhs, _collinear_scalar(lhs, rhs)
+
+
 def xi_dual_compare(group, subgroup, h: MPoly, a: MPoly):
     """Evaluate the factorisation map and its differentiation realisation
     on the pair (h, a); returns (lhs, rhs, scalar with lhs == scalar*rhs,
-    or None when the two are not collinear)."""
-    H = diff_apply(h, subgroup.skew_contravariant())
-    K = e_map(group, subgroup, a)
-    lhs = xi_apply(group, subgroup, H, K)
-    rhs = diff_apply(a * h, group.skew_contravariant())
-    return lhs, rhs, _collinear_scalar(lhs, rhs)
+    or None when the two are not collinear).  lhs is the image of
+    D_h(skew product of G') (x) e_map(a), rhs is D_(ah) of the skew
+    product of G."""
+    ctx = _pair_ctx(group, subgroup)
+    return _dual_pair(ctx, group, subgroup, h, _dual_h(subgroup, h),
+                      _dual_a(ctx, group, subgroup, a))
 
 
 def equivariance_check(group, subgroup, n_mat) -> bool:
@@ -305,8 +339,8 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
     fix_act = {j: action_matrix(fixed, j, mat) for j in fixed.degrees}
     big_act = {d: action_matrix(bigH, d, mat) for d in {i + j for i, j in mu}}
     for (i, j), m in mu.items():
-        kron = [kron_vec(ra, rb) for ra in sub_act[i] for rb in fix_act[j]]
-        if mat_mul(kron, m) != mat_mul(m, big_act[i + j]):
+        if kron_apply(sub_act[i], fix_act[j], m) != \
+                mat_mul(m, big_act[i + j]):
             return False
     return True
 
@@ -373,21 +407,25 @@ def verify_factorisation(group: ReflectionGroup, subgroup: ReflectionGroup
     equivariance = [(label, equivariance_check(group, subgroup, mat))
                     for label, mat in _builtin_normalizers(group, subgroup)]
 
-    dual_scalars = []
     subHc = harmonic_basis(subgroup, space=COVARIANT)
     fixedc = _fixed_harmonics(ctx, group, subgroup, COVARIANT)
+    a_sides = [(da, ai, _dual_a(ctx, group, subgroup, a))
+               for da in sorted(fixedc.degrees)
+               for ai, a in enumerate(fixedc.basis(da))]
+    dual_scalars = []
     for dh in sorted(subHc.degrees):
         for hi, h in enumerate(subHc.basis(dh)):
-            for da in sorted(fixedc.degrees):
-                for ai, a in enumerate(fixedc.basis(da)):
-                    _, _, scal = xi_dual_compare(group, subgroup, h, a)
-                    dual_scalars.append({
-                        "h_degree": dh, "h_index": hi,
-                        "a_degree": da, "a_index": ai,
-                        "collinear": scal is not None,
-                        "scalar": scal.to_json() if scal is not None
-                        else None,
-                    })
+            h_parts = _dual_h(subgroup, h)
+            for da, ai, a_side in a_sides:
+                _, _, scal = _dual_pair(ctx, group, subgroup, h, h_parts,
+                                        a_side)
+                dual_scalars.append({
+                    "h_degree": dh, "h_index": hi,
+                    "a_degree": da, "a_index": ai,
+                    "collinear": scal is not None,
+                    "scalar": scal.to_json() if scal is not None
+                    else None,
+                })
 
     return FactorisationReport(
         _group_label(group), _group_label(subgroup),

@@ -70,7 +70,8 @@ def _opposite(space: str) -> str:
 class GradedBasis:
     """Per-degree echelon bases of a graded subspace of polynomials.
     piece(d) derives a piece's coefficient rows and pivot columns once, on
-    first use, and checks its reduced echelon form then."""
+    first use, and checks its reduced echelon form then; uses(d) derives
+    its nonzero pattern once."""
 
     def __init__(self, space: str, nvars: int, degrees: dict):
         self.space = space
@@ -78,6 +79,7 @@ class GradedBasis:
         self.degrees = {d: list(polys) for d, polys in degrees.items() if polys}
         self.max_degree = max(self.degrees, default=0)
         self._pieces = {}
+        self._uses = {}
 
     def piece(self, d: int):
         """(monomials, coefficient rows, pivot columns) of the degree-d
@@ -93,6 +95,18 @@ class GradedBasis:
                 raise UsageError(
                     "degree-%d piece is not in reduced echelon form" % d)
             got = self._pieces[d] = (monos, vecs, pivots)
+        return got
+
+    def uses(self, d: int):
+        """The monomials the degree-d piece uses, each with the rows it
+        enters and its coefficient there: (monomial, [(row, coefficient),
+        ...]) pairs in the piece's monomial order."""
+        got = self._uses.get(d)
+        if got is None:
+            monos, ech, _ = self.piece(d)
+            got = [(m, [(r, c) for r, c in enumerate(col) if c])
+                   for m, col in zip(monos, zip(*ech))]
+            got = self._uses[d] = [u for u in got if u[1]]
         return got
 
     def dim(self, d: int) -> int:
@@ -576,6 +590,16 @@ def _projection_solver(group, d, space):
     return got
 
 
+def _harmonic_coords(group, d, part):
+    """The coordinates on the H_d basis of the harmonic part of `part`, a
+    polynomial of degree d: the Gram inverse applied to the pairings of
+    the opposite-side H'_d with part.  Since the H_d basis is in reduced
+    echelon form, they are also the harmonic part's entries at the pivot
+    columns."""
+    _, dual, gram_inv = _projection_solver(group, d, part.space)
+    return mat_vec(gram_inv, [pairing(a, part) for a in dual])
+
+
 def by_degree(poly: MPoly):
     """The homogeneous parts of poly as sorted (degree, part) pairs."""
     parts = {}
@@ -601,10 +625,9 @@ def project_to_H(group: ReflectionGroup, poly: MPoly):
         if d > n_top:
             f_total = f_total + part
             continue
-        hbasis, dual, gram_inv = _projection_solver(group, d, space)
-        coords = mat_vec(gram_inv, [pairing(a, part) for a in dual])
+        hbasis = harmonic_basis(group, space=space).basis(d)
         h = MPoly.zero(space, poly.nvars)
-        for c, b in zip(coords, hbasis):
+        for c, b in zip(_harmonic_coords(group, d, part), hbasis):
             if c:
                 h = h + b.scale(c)
         h_total = h_total + h
@@ -662,13 +685,10 @@ def action_matrix(graded: GradedBasis, d: int, mat):
     else:
         sub = [list(col) for col in zip(*mat)]
     totals = [{} for _ in ech]
-    # each monomial the piece uses, with the rows it enters and its
-    # coefficient there
-    uses = [(m, [(total, c) for total, c in zip(totals, col) if c])
-            for m, col in zip(monos, zip(*ech))]
-    uses = [u for u in uses if u[1]]
+    uses = graded.uses(d)
     for t, image in _monomial_images(sub, [m for m, _ in uses]):
-        for total, c in uses[t][1]:
+        for r, c in uses[t][1]:
+            total = totals[r]
             for m, v in image.items():
                 v = c if v is _ONE else c * v
                 prev = total.get(m)

@@ -230,21 +230,21 @@ def identity_matrix(n):
 
 
 def mat_mul(a, b):
-    n, k = len(a), len(b)
-    m = len(b[0]) if k else 0
-    bt = [[b[i][j] for i in range(k)] for j in range(m)]
+    """The product a b.  The nonzero entries of each row of b are listed
+    once, so each entry of a and of b is tested for zero once."""
+    m = len(b[0]) if b else 0
+    sparse = [[(j, y) for j, y in enumerate(row) if y] for row in b]
     out = []
     for row in a:
-        orow = []
-        for col in bt:
-            acc = None
-            for x, y in zip(row, col):
-                if x and y:
-                    acc = x * y if acc is None else acc + x * y
-            if acc is None:
-                acc = row[0] - row[0]
-            orow.append(acc)
-        out.append(orow)
+        acc = [None] * m
+        for x, terms in zip(row, sparse):
+            if x:
+                for j, y in terms:
+                    acc[j] = x * y if acc[j] is None else acc[j] + x * y
+        if any(v is None for v in acc):
+            zero = row[0] - row[0]
+            acc = [zero if v is None else v for v in acc]
+        out.append(acc)
     return out
 
 
@@ -276,6 +276,18 @@ def kron_vec(a, b):
     """The Kronecker product of two vectors: entry i * len(b) + j is
     a[i] * b[j]."""
     return [x * y for x in a for y in b]
+
+
+def kron_apply(a, b, m):
+    """(a (x) b) m for square a and b, without forming the Kronecker
+    product.  Row i * len(b) + j of m is indexed as kron_vec indexes its
+    entries, so b acts on each run of len(b) rows and then a acts across
+    the runs: O(len(a) * len(b) * (len(a) + len(b))) products per column
+    instead of O((len(a) * len(b))**2)."""
+    nb = len(b)
+    runs = [mat_mul(b, m[i * nb:(i + 1) * nb]) for i in range(len(a))]
+    across = [mat_mul(a, [run[j] for run in runs]) for j in range(nb)]
+    return [across[j][i] for i in range(len(a)) for j in range(nb)]
 
 
 def mat_inv(a):

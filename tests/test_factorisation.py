@@ -2,8 +2,10 @@ import itertools
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from reflharm import factorisation
+from reflharm import factorisation, harmonics
 from reflharm.errors import UsageError
 from reflharm.factorisation import (
     FactorisationReport,
@@ -18,8 +20,9 @@ from reflharm.factorisation import (
 )
 from reflharm.groups import catalog
 from reflharm.harmonics import harmonic_basis, project_to_H
-from reflharm.linalg import mat_inv
-from reflharm.mpoly import CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix
+from reflharm.linalg import kron_apply, kron_vec, mat_inv, mat_mul
+from reflharm.mpoly import (CONTRAVARIANT, COVARIANT, MPoly, coerce_matrix,
+                            diff_apply)
 from reflharm.scalars import CycloScalar, RatPoly, qq
 
 ONE = CycloScalar.rational(1)
@@ -136,19 +139,23 @@ def test_verify_factorisation_b2():
 
 
 def test_verify_factorisation_evaluates_each_tensor_once(monkeypatch):
-    # one projection per basis tensor: the dual pairs and the equivariance
-    # checks read the coordinate matrices and project nothing
+    # one Gram row per basis tensor and no projection: the coordinate
+    # matrices hold the Gram rows, and the dual pairs and the equivariance
+    # checks read them
     b2, sub = b2_pair()
-    calls = []
-    real = factorisation.project_to_H
+    rows, projections = [], []
+    real = factorisation._harmonic_coords
 
-    def counting(group, poly):
-        calls.append(poly)
-        return real(group, poly)
+    def counting(group, d, poly):
+        rows.append(poly)
+        return real(group, d, poly)
 
-    monkeypatch.setattr(factorisation, "project_to_H", counting)
-    rep = verify_factorisation(b2, sub)
-    assert len(calls) == b2.order
+    monkeypatch.setattr(factorisation, "_harmonic_coords", counting)
+    monkeypatch.setattr(harmonics, "project_to_H",
+                        lambda *args: projections.append(args))
+    verify_factorisation(b2, sub)
+    assert projections == []
+    assert len(rows) == b2.order
 
 
 def test_verify_factorisation_extreme_subgroups():
@@ -340,6 +347,71 @@ def test_equivariance_check_moves_and_projects_no_tensor(monkeypatch):
 
     monkeypatch.setattr(MPoly, "act", forbidden)
     monkeypatch.setattr(factorisation, "xi_apply", forbidden)
-    monkeypatch.setattr(factorisation, "project_to_H", forbidden)
+    monkeypatch.setattr(factorisation, "_harmonic_coords", forbidden)
     for _, mat in factorisation._builtin_normalizers(group, sub):
         assert equivariance_check(group, sub, mat)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_kron_apply_matches_the_dense_kronecker_product(data):
+    # the factored tensor action of equivariance_check against the dense
+    # product, on rational blocks and on blocks over Q(zeta_3), Q(zeta_12)
+    zeta = data.draw(st.sampled_from([ONE * 0, CycloScalar.root_of_unity(3),
+                                      CycloScalar.root_of_unity(12)]))
+    entries = st.builds(lambda u, v: ONE * u + zeta * v,
+                        st.integers(-3, 3), st.integers(-3, 3))
+
+    def matrix(nrows, ncols):
+        return data.draw(st.lists(
+            st.lists(entries, min_size=ncols, max_size=ncols),
+            min_size=nrows, max_size=nrows))
+
+    na, nb = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    a, b = matrix(na, na), matrix(nb, nb)
+    m = matrix(na * nb, data.draw(st.integers(1, 4)))
+    dense = [kron_vec(ra, rb) for ra in a for rb in b]
+    assert kron_apply(a, b, m) == mat_mul(dense, m)
+
+
+def test_equivariance_check_sees_a_perturbed_block_through_the_swap_only():
+    # the coordinate swap moves H(G')_1 and H(G)_1 of weyl:B:2 <1,2>, so
+    # one changed entry of M_10 breaks its check; -id acts on every
+    # degree-d piece by (-1)^d, a scalar, which commutes with any M_ij
+    group, sub = _pair("weyl:B:2", [1, 2])
+    mu = factorisation._mu(factorisation._pair_ctx(group, sub), group, sub)
+    swap = [[0, 1], [1, 0]]
+    neg = [[-1, 0], [0, -1]]
+    assert equivariance_check(group, sub, swap)
+    assert equivariance_check(group, sub, neg)
+    block = mu[(1, 0)]
+    block[0][0] = block[0][0] + ONE
+    assert not equivariance_check(group, sub, swap)
+    assert equivariance_check(group, sub, neg)
+
+
+@pytest.mark.parametrize("name,picks", [("weyl:B:3", [0, 1]),
+                                        ("gmpn:3:1:2", [0, 5])])
+def test_dual_scalars_match_xi_dual_compare_pair_by_pair(name, picks):
+    # the report reads each factor's images once; xi_dual_compare builds
+    # one pair, and both sides of it agree with the per-pair definition:
+    # lhs = xi(D_h skew(G'), e_map(a)) and rhs = D_(ah) skew(G)
+    group, sub = _pair(name, picks)
+    rep = verify_factorisation(group, sub)
+    subHc = harmonic_basis(sub, space=COVARIANT)
+    fixedc = factorisation._fixed_harmonics(
+        factorisation._pair_ctx(group, sub), group, sub, COVARIANT)
+    assert len(rep.dual_scalars) == subHc.dimension() * fixedc.dimension()
+    for entry in rep.dual_scalars:
+        h = subHc.basis(entry["h_degree"])[entry["h_index"]]
+        a = fixedc.basis(entry["a_degree"])[entry["a_index"]]
+        lhs, rhs, scal = xi_dual_compare(group, sub, h, a)
+        assert entry["collinear"] == (scal is not None)
+        assert entry["scalar"] == (scal.to_json() if scal is not None
+                                   else None)
+        assert lhs == xi_apply(group, sub,
+                               diff_apply(h, sub.skew_contravariant()),
+                               e_map(group, sub, a))
+        assert rhs == diff_apply(a * h, group.skew_contravariant())
+    if name == "weyl:B:3":
+        assert not all(e["collinear"] for e in rep.dual_scalars)

@@ -157,6 +157,26 @@ def test_diff_is_algebra_action():
         assert diff_apply(a * b, P) == diff_apply(a, diff_apply(b, P))
 
 
+@settings(max_examples=40, deadline=None)
+@given(st.data())
+def test_diff_apply_operators_commute(data):
+    # D_(ah) = D_h D_a: the dual pairs of the factorisation report take
+    # D_h of d_map(a) for D_(ah) of the skew product
+    nvars = data.draw(st.integers(1, 3))
+    z3 = CycloScalar.root_of_unity(3)
+
+    def poly(space, max_degree):
+        exps = st.tuples(*[st.integers(0, max_degree)] * nvars)
+        terms = data.draw(st.dictionaries(
+            exps, st.integers(-5, 5).filter(bool), max_size=4))
+        scale = data.draw(st.sampled_from([CycloScalar.rational(1), z3]))
+        return MPoly(space, nvars, {e: scale * c for e, c in terms.items()})
+
+    a, h = poly(COVARIANT, 2), poly(COVARIANT, 2)
+    p = poly(CONTRAVARIANT, 5)
+    assert diff_apply(a * h, p) == diff_apply(h, diff_apply(a, p))
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_diff_apply_on_a_monomial_is_falling_factorials(data):
