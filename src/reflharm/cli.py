@@ -11,10 +11,13 @@ Groups come either from the built-in catalog (--catalog weyl:C:3) or
 from a JSON file of generator matrices (--generators FILE).  Output is
 JSON by default, deterministic byte-for-byte: objects are emitted with
 sorted keys and a trailing newline.  --format text renders the same data
-for reading; --out writes to a file instead of stdout.
+for reading; each command builds only the format requested, so no JSON
+dict is built for text and no text line for JSON.  --out writes to a file
+instead of stdout.
 
 Exit codes: 0 success (for factorise: every check passed), 1 usage
-error, 2 resource cap exceeded, 3 verification or domain failure.
+error (a --group-cap below 1 among them), 2 resource cap exceeded, 3
+verification or domain failure.
 """
 
 from __future__ import annotations
@@ -101,6 +104,9 @@ def _resolve_group(args) -> ReflectionGroup:
     by_catalog, by_file = args.catalog, args.generators
     if (by_catalog is None) == (by_file is None):
         raise UsageError("give exactly one of --catalog or --generators")
+    if args.group_cap < 1:
+        raise UsageError("--group-cap must be at least 1, got %d"
+                         % args.group_cap)
     if by_catalog is not None:
         return catalog(by_catalog, cap=args.group_cap)
     data = _load_json_file(by_file)
@@ -139,19 +145,20 @@ def _cmd_group(args):
     poincare = harmonic_poincare(group)
     planes = group.hyperplanes()
     skew = group.skew_contravariant()
-    data = {
-        "name": group.name,
-        "dim": group.dim,
-        "order": group.order,
-        "reflection_count": group.reflection_count,
-        "degrees": list(degrees),
-        "poincare": poincare.to_json(),
-        "hyperplanes": [{"form": str(pl.form), "order": pl.order,
-                         "reflections": len(pl.reflections)}
-                        for pl in planes],
-        "skew": skew.to_json(),
-        "skew_text": str(skew),
-    }
+    if args.format == "json":
+        return {
+            "name": group.name,
+            "dim": group.dim,
+            "order": group.order,
+            "reflection_count": group.reflection_count,
+            "degrees": list(degrees),
+            "poincare": poincare.to_json(),
+            "hyperplanes": [{"form": str(pl.form), "order": pl.order,
+                             "reflections": len(pl.reflections)}
+                            for pl in planes],
+            "skew": skew.to_json(),
+            "skew_text": str(skew),
+        }, 0
     lines = ["group %s" % group.name,
              "dimension: %d" % group.dim,
              "order: %d" % group.order,
@@ -161,28 +168,29 @@ def _cmd_group(args):
              "skew product: %s" % skew,
              "hyperplanes:"]
     lines += ["  %s  (order %d)" % (pl.form, pl.order) for pl in planes]
-    return data, lines, 0
+    return lines, 0
 
 
 def _cmd_harmonics(args):
     group = _resolve_group(args)
     basis = harmonic_basis(group)
     shown = [d for d in sorted(basis.degrees) if d <= args.max_degree]
-    data = {
-        "name": group.name,
-        "order": group.order,
-        "dimension": basis.dimension(),
-        "poincare": basis.poincare().to_json(),
-        "degrees": {str(d): [p.to_json() for p in basis.basis(d)]
-                    for d in shown},
-    }
+    if args.format == "json":
+        return {
+            "name": group.name,
+            "order": group.order,
+            "dimension": basis.dimension(),
+            "poincare": basis.poincare().to_json(),
+            "degrees": {str(d): [p.to_json() for p in basis.basis(d)]
+                        for d in shown},
+        }, 0
     lines = ["harmonics of %s" % group.name,
              "dimension: %d" % basis.dimension(),
              "poincare: %s" % _poly_text(basis.poincare(), "t")]
     for d in shown:
         lines.append("degree %d:" % d)
         lines += ["  %s" % p for p in basis.basis(d)]
-    return data, lines, 0
+    return lines, 0
 
 
 def _cmd_factorise(args):
@@ -205,40 +213,42 @@ def _cmd_factorise(args):
           and report.poincare_equal
           and all(flag for _, flag in report.equivariance_checks)
           and all(entry["collinear"] for entry in report.dual_scalars))
-    data = report.to_json()
-    lines = ["factorisation of %s over %s" % (group.name, sub.name),
-             "degrees: %s" % " ".join(str(d) for d in report.degrees),
-             "subgroup degrees: %s" % " ".join(str(d)
-                                               for d in report.sub_degrees),
-             "bijective: %s" % report.bijective,
-             "dimension identity: %s" % report.dim_identity,
-             "poincare equal: %s" % report.poincare_equal,
-             "equivariance checks passed: %d/%d"
-             % (sum(1 for _, f in report.equivariance_checks if f),
-                len(report.equivariance_checks)),
-             "dual pairs collinear: %d/%d"
-             % (sum(1 for e in report.dual_scalars if e["collinear"]),
-                len(report.dual_scalars)),
-             "all checks passed" if ok else "CHECKS FAILED"]
-    return data, lines, 0 if ok else 3
+    code = 0 if ok else 3
+    if args.format == "json":
+        return report.to_json(), code
+    return ["factorisation of %s over %s" % (group.name, sub.name),
+            "degrees: %s" % " ".join(str(d) for d in report.degrees),
+            "subgroup degrees: %s" % " ".join(str(d)
+                                              for d in report.sub_degrees),
+            "bijective: %s" % report.bijective,
+            "dimension identity: %s" % report.dim_identity,
+            "poincare equal: %s" % report.poincare_equal,
+            "equivariance checks passed: %d/%d"
+            % (sum(1 for _, f in report.equivariance_checks if f),
+               len(report.equivariance_checks)),
+            "dual pairs collinear: %d/%d"
+            % (sum(1 for e in report.dual_scalars if e["collinear"]),
+               len(report.dual_scalars)),
+            "all checks passed" if ok else "CHECKS FAILED"], code
 
 
 def _cmd_fake_degrees(args):
     group = _resolve_group(args)
     table = character_table(group)
     fakes = fake_degrees(group)
-    data = {
-        "name": group.name,
-        "order": group.order,
-        "class_sizes": list(table.classes.sizes),
-        "degrees": list(table.degrees),
-        "fake_degrees": [poly.to_json() for poly in fakes],
-    }
+    if args.format == "json":
+        return {
+            "name": group.name,
+            "order": group.order,
+            "class_sizes": list(table.classes.sizes),
+            "degrees": list(table.degrees),
+            "fake_degrees": [poly.to_json() for poly in fakes],
+        }, 0
     lines = ["fake degrees of %s (%d irreducibles)"
              % (group.name, len(table))]
     for deg, poly in zip(table.degrees, fakes):
         lines.append("  dim %d: %s" % (deg, _poly_text(poly, "t")))
-    return data, lines, 0
+    return lines, 0
 
 
 def _cmd_count(args):
@@ -250,6 +260,8 @@ def _cmd_count(args):
     else:
         twist = TwistData.from_json(_load_json_file(args.twist))
         report = twisted_report(datum, sub, twist)
+    if args.format == "json":
+        return report, 0
     poly = RatPoly.from_json(report["polynomial"])
     lines = ["count for %s subsystem %s" % (args.datum, args.subsystem),
              "N: %d" % report["N"],
@@ -259,9 +271,11 @@ def _cmd_count(args):
     if "stabilizes_ambient_simples" in report:
         lines.append("twist stabilizes ambient simples: %s"
                      % report["stabilizes_ambient_simples"])
-    return report, lines, 0
+    return lines, 0
 
 
+# each command returns (output, exit code): the JSON data under
+# --format json, the text lines under --format text
 _COMMANDS = {
     "group": _cmd_group,
     "harmonics": _cmd_harmonics,
@@ -285,11 +299,11 @@ def _emit(text: str, out_path):
 def main(argv=None) -> int:
     try:
         args = _build_parser().parse_args(argv)
-        data, lines, code = _COMMANDS[args.command](args)
+        out, code = _COMMANDS[args.command](args)
         if args.format == "json":
-            text = json.dumps(data, indent=2, sort_keys=True) + "\n"
+            text = json.dumps(out, indent=2, sort_keys=True) + "\n"
         else:
-            text = "\n".join(lines) + "\n"
+            text = "\n".join(out) + "\n"
         _emit(text, args.out)
     except UsageError as exc:
         print("usage error: %s" % exc, file=sys.stderr)

@@ -26,16 +26,22 @@ The module computes, exactly:
 
 Harmonic degrees are capped at N = deg(skew product); H vanishes above N.
 
-The per-degree solvers build their rows from the coefficients of their
-input (the invariant operators, or the basis one degree up) as they are;
-`rref` eliminates rows that hold only rationals on integers.  The perp
-route takes H_d as one joint kernel per block of degree-d monomials: the
-images of the block under every invariant operator of degree <= d,
-stacked into one matrix.  For groups of monomial matrices the blocks are
-indexed by the characters of the diagonal subgroup (an invariant operator
-keeps the character, so the blocks do not interact); otherwise all
-monomials form one block.  The derivative route needs no split, since it
-eliminates only ell * dim H_(d+1) rows per degree.
+The perp route builds its rows from the coefficients of the invariant
+operators as they are, and `rref` eliminates rows that hold only
+rationals on integers.  It takes H_d as one joint kernel per block of
+degree-d monomials: the images of the block under every invariant
+operator of degree <= d, stacked into one matrix.  For groups of
+monomial matrices the blocks are indexed by the characters of the
+diagonal subgroup (an invariant operator keeps the character, so the
+blocks do not interact); otherwise all monomials form one block.
+
+The derivative route needs no split, since it eliminates only
+ell * dim H_(d+1) rows per degree.  When the skew product is rational
+(every catalog group's is) it never leaves the integers: each degree is
+kept as the primitive rows of `linalg.rref_integer`, the integer core of
+`rref`, and differentiated by multiplying by exponents; CycloScalars and
+polynomials are built only for the returned basis, one division by each
+pivot.  Any other skew product goes through `rref` on CycloScalar rows.
 """
 
 from __future__ import annotations
@@ -45,8 +51,9 @@ import weakref
 
 from .errors import DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, conjugacy_classes
-from .linalg import (SpanSolver, echelon_coordinates, kernel_basis, mat_inv,
-                     mat_mul, mat_vec, rref)
+from .linalg import (SpanSolver, echelon_coordinates, integer_row,
+                     kernel_basis, mat_inv, mat_mul, mat_vec,
+                     rational_echelon, rref, rref_integer)
 from .mpoly import (
     CONTRAVARIANT,
     COVARIANT,
@@ -531,28 +538,41 @@ def _harmonic_degree_perp(group, d, space):
 def _harmonic_degrees_derivative(group, space):
     """H_N is spanned by the skew product; H is closed under derivatives,
     so H_d = sum_i d/dx_i H_(d+1) below N: one elimination per degree, of
-    the first derivatives of the basis one degree up."""
+    the first derivatives of the basis one degree up.  A rational skew
+    product stays on the primitive integer rows of rref_integer, which are
+    differentiated as they are: scaling a row keeps the span, and the
+    echelon form is canonical."""
     nv = group.dim
     skew = group.skew_contravariant() if space == CONTRAVARIANT \
         else group.skew_covariant()
     n_top = group.skew_degree()
-    lead = next(c for _, c in skew.sorted_terms() if c)
-    levels = [[skew.scale(lead.inv())]]
+    monos = monomials_of_degree(nv, n_top)
+    top = skew.coeff_vector(monos)
+    if all(c.is_rational() for c in top):
+        top = integer_row(top)
+        zero, eliminate, finish = 0, rref_integer, rational_echelon
+    else:
+        zero, eliminate, finish = _ZERO, rref, lambda rows, _: rows
+    rows, pivots = eliminate([top])
+    levels = {n_top: finish(rows, pivots)}
     for d in range(n_top - 1, -1, -1):
-        monos = monomials_of_degree(nv, d)
-        index = {m: j for j, m in enumerate(monos)}
-        rows = []
-        for h in levels[-1]:
+        low = monomials_of_degree(nv, d)
+        index = {m: j for j, m in enumerate(low)}
+        derived = []
+        for row in rows:
+            terms = [(m, c) for m, c in zip(monos, row) if c]
             for i in range(nv):
-                row = [_ZERO] * len(monos)
-                for exps, c in h.terms.items():
-                    if exps[i]:
-                        low = exps[:i] + (exps[i] - 1,) + exps[i + 1:]
-                        row[index[low]] = c * exps[i]
-                rows.append(row)
-        ech, _ = rref(rows)
-        levels.append([MPoly.from_vector(space, monos, r) for r in ech])
-    return dict(enumerate(reversed(levels)))
+                out = [zero] * len(low)
+                for exps, c in terms:
+                    e = exps[i]
+                    if e:
+                        out[index[exps[:i] + (e - 1,) + exps[i + 1:]]] = c * e
+                derived.append(out)
+        rows, pivots = eliminate(derived)
+        monos = low
+        levels[d] = finish(rows, pivots)
+    return {d: [MPoly.from_vector(space, monomials_of_degree(nv, d), r)
+                for r in levels[d]] for d in range(n_top + 1)}
 
 
 def _pivot_position(row):

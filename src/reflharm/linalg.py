@@ -5,11 +5,14 @@ accepted on input and coerced once.  `rref` is the one Gauss-Jordan
 elimination: kernels, span membership, coordinates and inverses are all
 read off its output, on the rows themselves or on the rows augmented by an
 identity block.  When every entry is rational (its numerators past the
-first are zero) the rows are eliminated on integers, fraction-free with
-the content divided out, and normalised once at the end by their pivots;
-otherwise they go through the field loop.  `det` keeps its own forward
-elimination because it needs the product of the pivots, not an echelon
-form.
+first are zero) the rows are scaled to integers and eliminated by
+`rref_integer`, fraction-free with the content divided out, and
+normalised once at the end by their pivots (`rational_echelon`);
+otherwise they go through the field loop.  `rref_integer` is the one
+Gauss-Jordan over Q: callers that hold integer rows already, such as the
+derivative route of `harmonics`, call it directly and keep its primitive
+rows.  `det` keeps its own forward elimination because it needs the
+product of the pivots, not an echelon form.
 
 Reduced row echelon form is unique for a given row space, so every routine
 returns the same matrix no matter how the input rows were ordered.  Kernel
@@ -85,28 +88,43 @@ def _primitive(row):
     return [a // g for a in row] if g != 1 else row
 
 
+def integer_row(row):
+    """A row of rational CycloScalars times the lcm of their denominators,
+    as ints."""
+    den = lcm(*(a.den for a in row))
+    return [a.nums[0] * (den // a.den) for a in row]
+
+
 def _rref_rational(mat):
-    """rref of rational rows, fraction-free: each row is scaled to integers,
-    each step r_i <- (p/g) r_i - (f/g) r_k with g = gcd(p, f) keeps it
-    integral, and its content is divided out.  Columns and pivots go in the
-    same order as in `rref`, zero rows are dropped as they appear, and each
-    kept row is divided by its pivot once at the end."""
-    rows = []
-    for row in mat:
-        den = lcm(*(a.den for a in row))
-        nums = [a.nums[0] * (den // a.den) for a in row]
-        nums = _primitive(nums)
-        if nums is not None:
-            rows.append(nums)
-    n = len(mat[0]) if mat else 0
+    """rref of rational rows: each row is scaled to integers, eliminated by
+    `rref_integer`, and divided by its pivot once at the end."""
+    rows, pivots = rref_integer([integer_row(row) for row in mat])
+    return rational_echelon(rows, pivots), pivots
+
+
+def rref_integer(rows):
+    """The integer core of Gauss-Jordan over Q, fraction-free: each step
+    r_i <- (p/g) r_i - (f/g) r_k with g = gcd(p, f) keeps the rows integral,
+    and each row's content is divided out.  Columns and pivots go in the
+    same order as in `rref`, and zero rows are dropped as they appear.  The
+    pivot row r_k is one with the least |p| in its column: the other rows
+    are scaled by p/g, so a small pivot keeps their entries small.
+
+    Returns (rows, pivot_columns): every row primitive with a positive
+    pivot and every pivot column cleared in the other rows, so each row is
+    the primitive integer multiple of the corresponding row of the reduced
+    echelon form, which makes the output as canonical as that form."""
+    rows = [row for row in map(_primitive, rows) if row is not None]
+    n = len(rows[0]) if rows else 0
     pivots = []
     r = 0
     for c in range(n):
         if r == len(rows):
             break
-        k = next((i for i in range(r, len(rows)) if rows[i][c]), None)
-        if k is None:
+        live = [i for i in range(r, len(rows)) if rows[i][c]]
+        if not live:
             continue
+        k = min(live, key=lambda i: abs(rows[i][c]))
         rows[r], rows[k] = rows[k], rows[r]
         row_r = rows[r]
         p = row_r[c]
@@ -124,13 +142,15 @@ def _rref_rational(mat):
         rows = kept
         pivots.append(c)
         r += 1
-    ech = []
-    for row, c in zip(rows, pivots):
-        p = row[c]
-        if p < 0:
-            p, row = -p, [-a for a in row]
-        ech.append([_make(1, (a,), p) if a else CYC_ZERO for a in row])
-    return ech, pivots
+    return [row if row[c] > 0 else [-a for a in row]
+            for row, c in zip(rows, pivots)], pivots
+
+
+def rational_echelon(rows, pivots):
+    """The reduced echelon form of `rref_integer` output as CycloScalar
+    rows: each row divided by its pivot."""
+    return [[_make(1, (a,), row[c]) if a else CYC_ZERO for a in row]
+            for row, c in zip(rows, pivots)]
 
 
 def rref_with_transform(rows):

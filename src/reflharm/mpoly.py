@@ -293,8 +293,15 @@ class MPoly:
 
     @staticmethod
     def from_vector(space, monomials, vec) -> "MPoly":
-        nv = len(monomials[0])
-        return MPoly(space, nv, {m: c for m, c in zip(monomials, vec) if c})
+        """The polynomial with coefficient vec[j] at monomials[j], for
+        exponent tuples of one width and CycloScalar entries, such as the
+        rows the linalg routines return; the terms are taken as they are."""
+        if space not in _SPACES:
+            raise UsageError("unknown polynomial space tag %r" % (space,))
+        p = MPoly.__new__(MPoly)
+        p.space, p.nvars = space, len(monomials[0])
+        p.terms = {m: c for m, c in zip(monomials, vec) if c}
+        return p
 
     # -- serialisation and display
 

@@ -625,8 +625,15 @@ class CycloScalar:
     # -- serialisation and display
 
     def to_json(self):
+        """{"order": n, "coeffs": [...]} at the minimal conductor n, each
+        coefficient an integer string or "p/q" in lowest terms."""
         red = self.reduce()
-        return {"order": red.order, "coeffs": [qq_str(c) for c in red.coeffs]}
+        den = red.den
+        coeffs = []
+        for x in red.nums:
+            g = math.gcd(x, den)
+            coeffs.append(str(x // g) if g == den else "%d/%d" % (x // g, den // g))
+        return {"order": red.order, "coeffs": coeffs}
 
     @staticmethod
     def from_json(data) -> "CycloScalar":

@@ -1,5 +1,6 @@
 """Command-line behaviour: outputs, exit codes, determinism."""
 
+import hashlib
 import json
 import subprocess
 import sys
@@ -75,6 +76,15 @@ def test_group_cap_exit(capsys):
                            "--group-cap", "10")
     assert code == 2
     assert "cap" in err
+
+
+@pytest.mark.parametrize("cap", ["-1", "0"])
+def test_group_cap_below_one_is_usage_error(capsys, cap):
+    # no group fits under such a cap, so it is bad usage, not a cap hit
+    code, out, err = run_cli(capsys, "group", "--catalog", "weyl:A:2",
+                             "--group-cap", cap)
+    assert code == 1 and out == ""
+    assert "usage error" in err and "--group-cap" in err
 
 
 @pytest.mark.parametrize("name", ["cyclic:10001", "gmpn:30000:1:1",
@@ -429,6 +439,74 @@ def test_byte_determinism(capsys, tmp_path):
                               "--out", str(out))
     assert code == 0 and stdout == ""
     assert out.read_text() == first
+
+
+# weyl:B:2 conjugated by diag(1, zeta_3): its skew product is not rational
+B2_OVER_ZETA3 = {
+    "name": "B2 over zeta_3",
+    "generators": [[[0, {"order": 3, "coeffs": [-1, -1]}],
+                    [{"order": 3, "coeffs": [0, 1]}, 0]],
+                   [[1, 0], [0, -1]]],
+}
+
+# SHA-256 of stdout, recorded before the commands built only the
+# requested format
+RENDER_DIGESTS = {
+    ("group", "weyl:A:4", "json"):
+        "43592d33cd7f441d5ba0b013fa97bc31dbd62f22c13027f422ec0e6baa97090d",
+    ("group", "weyl:A:4", "text"):
+        "4af7c1aa5b0991d5782457a8ee55c7df30b1770fd19e3f626047cd25f2cac7c6",
+    ("group", "weyl:D:4", "json"):
+        "1e76e65b04daec459d74cf2217088662ff3f5c3ba88d9e27ab8812dbb698bacb",
+    ("group", "weyl:D:4", "text"):
+        "545091abaa2f827b65329675968417854aa508e917b454411d9639f18b619a44",
+    ("group", "gmpn:3:1:3", "json"):
+        "62201301df78d7f15f6ec9eb58673e81d19760345f5abb405603cef48d49ea92",
+    ("group", "gmpn:3:1:3", "text"):
+        "d169bcd79fb50bdb8a3d766c77ff4042b006ba995a1daa3c5b5518e44aa9a42c",
+    ("group", "gmpn:4:2:3", "json"):
+        "73e52f4a1b0c8b76dee71a801fc9fde4ebf498b1cf8128d5d1052460a4784254",
+    ("group", "gmpn:4:2:3", "text"):
+        "27e6ab522de3f99cd2aa81121ff4882dab8e96a67c5099efe313fbb06571638c",
+    ("group", "B2 over zeta_3", "json"):
+        "23f6c7b01b2fab06b72ba467300914fc248ea353b15504458d6a12d8e5c42fc2",
+    ("group", "B2 over zeta_3", "text"):
+        "3443e3d3469f6059c75923484a0fe4cf642261cca7c6833fdea0f6e29937a1e4",
+    ("harmonics", "weyl:A:4", "json"):
+        "53ace091badd6551013e851103c62981fb27505d36b81e213ca3c6977aaaa950",
+    ("harmonics", "weyl:A:4", "text"):
+        "c8cc55e3e482600d72f65d53d0790aaaa4fc81418d8cabb4cf0d8e9f0c073dc7",
+    ("harmonics", "weyl:D:4", "json"):
+        "e8224ea5185cc8e3eed170f6599601f4baf29fb25cf23743bca3bd89d38f465c",
+    ("harmonics", "weyl:D:4", "text"):
+        "cbfd4b0f7269e56347cb9964ef6fac7ed6c65861855e9c04fa12703989d6ae63",
+    ("harmonics", "gmpn:3:1:3", "json"):
+        "3e1561fb310d5b87120bc902f06de4707c65e017733cca9df483574a3ede383e",
+    ("harmonics", "gmpn:3:1:3", "text"):
+        "a3c9001288c230cf6e48c9d2d5b08032da7114d4f80e2d092c3f3c046bf40761",
+    ("harmonics", "gmpn:4:2:3", "json"):
+        "c95e5addf1c3a168ba0db848e460efe5d9d1fc2557c934402c921a6a2146f4b2",
+    ("harmonics", "gmpn:4:2:3", "text"):
+        "18d9e717e0dd377ea38b09008afd22597c8643bfdd88e37d33aee42974a460ad",
+    ("harmonics", "B2 over zeta_3", "json"):
+        "e53c0b9c554be49705f0835fba750059613a74ff1bad3168dddfd5d52882cc52",
+    ("harmonics", "B2 over zeta_3", "text"):
+        "f4ffee4437e043446e1a56591cd8b9af498a1facf8368f54c9f445b35bdf4bd3",
+}
+
+
+@pytest.mark.parametrize("command,source,fmt", list(RENDER_DIGESTS))
+def test_renderings_are_pinned(capsys, tmp_path, command, source, fmt):
+    if source == "B2 over zeta_3":
+        path = tmp_path / "gens.json"
+        path.write_text(json.dumps(B2_OVER_ZETA3))
+        where = ("--generators", str(path))
+    else:
+        where = ("--catalog", source)
+    code, out, err = run_cli(capsys, command, *where, "--format", fmt)
+    assert code == 0, err
+    digest = hashlib.sha256(out.encode()).hexdigest()
+    assert digest == RENDER_DIGESTS[command, source, fmt]
 
 
 def test_json_round_trip(capsys):

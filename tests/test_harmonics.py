@@ -281,18 +281,43 @@ def test_perp_matches_derivative_small(space):
 _REFERENCE = pathlib.Path(__file__).parents[1] / "bench" / "reference.json"
 
 
-@pytest.mark.parametrize("name", ["weyl:A:4", "weyl:D:4"])
-def test_perp_basis_matches_stored_digest(name):
+def _matches_stored_perp_digest(name, basis):
     """The benchmark reference stores the perp basis digest (in the layout
     of `reflharm harmonics`) under the derivative request of each group."""
     stored = json.loads(_REFERENCE.read_text())
-    basis = harmonic_basis(catalog(name), "perp")
     text = json.dumps({"dimension": basis.dimension(),
                        "degrees": {str(d): [p.to_json() for p in basis.basis(d)]
                                    for d in sorted(basis.degrees)}},
                       indent=2, sort_keys=True) + "\n"
     ref = stored["harmonic_basis %s derivative" % name]
-    assert hashlib.sha256(text.encode()).hexdigest() == ref["sha256"]
+    return hashlib.sha256(text.encode()).hexdigest() == ref["sha256"]
+
+
+@pytest.mark.parametrize("name", ["weyl:A:4", "weyl:D:4"])
+def test_perp_basis_matches_stored_digest(name):
+    assert _matches_stored_perp_digest(name, harmonic_basis(catalog(name), "perp"))
+
+
+@pytest.mark.parametrize("name", ["weyl:A:4", "gmpn:3:1:3"])
+def test_rational_derivative_route_stays_on_integers(monkeypatch, name):
+    """A rational skew product is carried down on integer rows: the
+    derivative route calls neither rref nor a CycloScalar product, and
+    still gives the stored perp basis."""
+    group = catalog(name)
+    # group data first, so the refusals see only the route itself
+    group.skew_contravariant()
+
+    def refuse(*args):
+        raise AssertionError("the integer derivative route left the integers")
+
+    with monkeypatch.context() as patch:
+        for owner in (linalg, harmonics):
+            patch.setattr(owner, "rref", refuse)
+        patch.setattr(CycloScalar, "__mul__", refuse)
+        patch.setattr(CycloScalar, "__rmul__", refuse)
+        basis = harmonic_basis(group, "derivative")
+        assert _matches_stored_perp_digest(name, basis)
+    assert basis.dimension() == group.order
 
 
 @pytest.mark.parametrize("name", ["weyl:B:2", "gmpn:3:1:2"])
@@ -363,28 +388,30 @@ def test_routes_agree_on_cyclotomic_rows(monkeypatch, space):
 
 
 def test_derivative_route_eliminates_first_derivatives_only(monkeypatch):
-    """H_d is spanned by the first derivatives of H_(d+1), written on all
-    degree-d monomials, so at most ell * dim H_(d+1) rows reach
-    elimination in degree d."""
+    """H_N is the skew product's one row, and H_d is spanned by the first
+    derivatives of H_(d+1), written on all degree-d monomials, so the
+    integer elimination runs once per degree, on at most
+    ell * dim H_(d+1) rows in degree d < N."""
     group = catalog("weyl:A:4")
     ell, n_top = group.dim, group.skew_degree()
     degree_of = {len(monomials_of_degree(ell, d)): d for d in range(n_top + 1)}
-    widths = []
     rows_in = {}
+    real = harmonics.rref_integer
 
-    def recording_rref(rows):
-        widths.append(len(rows[0]))
-        d = degree_of.get(widths[-1])
-        rows_in[d] = rows_in.get(d, 0) + len(rows)
-        return rref(rows)
+    def recording(rows):
+        d = degree_of[len(rows[0])]
+        assert d not in rows_in, d
+        rows_in[d] = len(rows)
+        return real(rows)
 
-    monkeypatch.setattr(harmonics, "rref", recording_rref)
+    monkeypatch.setattr(harmonics, "rref_integer", recording)
     H = harmonic_basis(group)
     monkeypatch.undo()
     assert H.dimension() == group.order
+    assert sorted(rows_in) == list(range(n_top + 1))
+    assert rows_in[n_top] == 1
     for d in range(n_top):
-        assert rows_in.get(d, 0) <= ell * H.dim(d + 1), d
-    assert sorted(widths) == sorted(degree_of)[:n_top]
+        assert rows_in[d] <= ell * H.dim(d + 1), d
 
 
 def test_harmonic_dimension_is_group_order():

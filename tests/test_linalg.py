@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import pathlib
 import random
 
@@ -21,7 +22,9 @@ from reflharm.linalg import (
     mat_mul,
     mat_vec,
     rank,
+    rational_echelon,
     rref,
+    rref_integer,
     rref_with_transform,
     vec_mat,
 )
@@ -258,6 +261,21 @@ def test_rational_rref_matches_cyclotomic_loop(rows):
     assert piv == want_piv
     assert ech == want
     assert rref(rows) == (ech, piv)
+
+
+@settings(max_examples=100, deadline=None)
+@given(_rational_rows())
+@example([[6, 4, 2], [0, 0, 0], [-3, -2, -1]])
+def test_rref_integer_keeps_primitive_multiples_of_the_echelon_rows(rows):
+    """Each kept row, divided by its pivot, is the row of rref; it is
+    primitive with a positive pivot, and the input rows are not changed."""
+    ints = [[int(a * 27720) for a in row] for row in rows]   # lcm(1..12)
+    before = [list(row) for row in ints]
+    got, piv = rref_integer(ints)
+    assert ints == before
+    assert (rational_echelon(got, piv), piv) == rref(rows)
+    for row, c in zip(got, piv):
+        assert row[c] > 0 and math.gcd(*row) == 1
 
 
 def test_rational_values_at_any_conductor_take_the_integer_path(monkeypatch):

@@ -332,6 +332,33 @@ def test_json_roundtrip_is_canonical():
     assert z.to_json() == {"order": 4, "coeffs": ["0", "1"]}
 
 
+def test_to_json_matches_the_rational_coefficient_formula():
+    """to_json writes each "p/q" from the integer numerators; the
+    reference goes through the rational coefficients and qq_str."""
+    def reference(x):
+        r = x.reduce()
+        return {"order": r.order, "coeffs": [qq_str(c) for c in r.coeffs]}
+
+    rng = random.Random(26)
+    for order in range(1, 61):
+        phi = euler_phi(order)
+        pool = [CycloScalar(order, [0] * phi),
+                # numerators sharing factors with the common denominator 12
+                CycloScalar(order, [QQ(rng.choice((-6, -4, -3, 0, 2, 9)), 12)
+                                    for _ in range(phi)]),
+                # a rational written at conductor `order`
+                CycloScalar.rational(QQ(rng.randint(-9, 9), 6)).promote(order)]
+        for _ in range(6):
+            x = rand_scalar(rng, order, span=30)
+            pool += [x, -x]
+            for p in (2, 3):
+                if order % p == 0:
+                    # written at `order`, reducing to conductor order / p
+                    pool.append(rand_scalar(rng, order // p).promote(order))
+        for x in pool:
+            assert x.to_json() == reference(x), (order, x.nums, x.den)
+
+
 def test_sort_key_total_order():
     rng = random.Random(13)
     pool = [rand_scalar(rng, o) for o in (1, 3, 4, 4, 8, 12) for _ in range(4)]
