@@ -33,7 +33,7 @@ from .errors import CapError, DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, conjugacy_classes
 from .harmonics import (
     _ctx,
-    class_series,
+    class_series_states,
     fixed_point_basis,
     harmonic_basis,
     harmonic_poincare,
@@ -365,12 +365,14 @@ def character_table(group: ReflectionGroup,
 
 def graded_character(group: ReflectionGroup):
     """tr(g | H_d) over conjugacy_classes(group), one tuple per degree
-    d = 0..N = sum_i (d_i - 1): the class series of g^-1 times
-    prod_i (1 - t^d_i), which must vanish in degrees N+1..N+l."""
-    top = sum(d - 1 for d in invariant_degrees(group))
-    trunc = top + group.dim
-    columns = [shape_product(group, class_series(group.inverse(i), trunc))
-               for i in conjugacy_classes(group).rep_indices]
+    d = 0..N = sum_i (d_i - 1): the cached series of the class of g^-1
+    times prod_i (1 - t^d_i), taken on its integer numerators, which must
+    vanish in degrees N+1..N+l."""
+    degrees = invariant_degrees(group)
+    top = sum(d - 1 for d in degrees)
+    classes, series = conjugacy_classes(group), class_series_states(group)
+    columns = [series[classes.class_of[group.inverse_index(i)]].shaped(
+        degrees, top + group.dim) for i in classes.rep_indices]
     if any(c for col in columns for c in col[top + 1:]):
         raise VerificationError("graded character series does not stop at "
                                 "degree %d" % top)
@@ -455,7 +457,7 @@ def verify_fake_degree_formula(group: ReflectionGroup,
     fixed_poin = fixed_point_basis(harmonic_basis(group), subgroup).poincare()
 
     series = molien(subgroup, sum(invariant_degrees(group)))
-    quotient = RatPoly(shape_product(group, series))
+    quotient = RatPoly(shape_product(invariant_degrees(group), series))
 
     agree = char_sum == fixed_poin and fixed_poin == quotient
     return {

@@ -177,6 +177,7 @@ class ReflectionGroup:
         self._skew = {}
         self._orders = None
         self._classes = None
+        self._cache = {}    # results of the layers above, by key
 
     # -- basic queries
 

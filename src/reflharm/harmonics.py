@@ -3,8 +3,9 @@
 The module computes, exactly:
 
   * the Molien series, summed once per conjugacy class: each class's
-    1/det(Id - t g) comes from the power traces tr(g^k) through Newton's
-    identities;
+    1/det(Id - t g) is cached with the group on integer numerators, from
+    the power traces tr(g^k) through Newton's identities, and extended
+    when a longer truncation is asked for;
   * the invariant degrees d_1 <= ... <= d_l, peeled off the Molien series,
     and the product of a series by prod_i (1 - t^d_i);
   * the harmonic space H as canonical reduced-echelon graded bases, by the
@@ -47,7 +48,6 @@ pivot.  Any other skew product goes through `rref` on CycloScalar rows.
 from __future__ import annotations
 
 import math
-import weakref
 
 from .errors import DomainError, UsageError, VerificationError
 from .groups import ReflectionGroup, conjugacy_classes
@@ -65,7 +65,9 @@ from .mpoly import (
     monomials_of_degree,
     pairing,
 )
-from .scalars import CYC_ONE, CYC_ZERO, QQ, CycloScalar, RatPoly
+from .scalars import (CYC_ONE, CYC_ZERO, QQ, CycloScalar, RatPoly, _combine,
+                      _power_table, dot_products, euler_phi, from_numerators,
+                      numerators_at)
 
 _ZERO, _ONE = CYC_ZERO, CYC_ONE
 
@@ -162,15 +164,11 @@ class GradedBasis:
 # ---------------------------------------------------------------------------
 # per-group cache
 
-_CACHE = weakref.WeakKeyDictionary()
-
 
 def _ctx(group: ReflectionGroup) -> dict:
-    ctx = _CACHE.get(group)
-    if ctx is None:
-        ctx = {}
-        _CACHE[group] = ctx
-    return ctx
+    """The group's cache, held by the group itself, so it is freed with
+    the group even where a value (a character table) refers back to it."""
+    return group._cache
 
 
 # ---------------------------------------------------------------------------
@@ -187,58 +185,93 @@ def reynolds(group: ReflectionGroup, poly: MPoly) -> MPoly:
     return total.scale(CycloScalar.rational(QQ(1, group.order)))
 
 
-def class_series(g, trunc):
-    """1/det(Id - t g) truncated, as cyclotomic coefficients.
+class _ClassSeries:
+    """1/det(Id - t g) for one matrix g, on integers, extended on demand.
+    Over n, the lcm of its entries' minimal conductors, g is M / D with M
+    in Z[zeta_n].  So the power traces P_k of M and the s_k of
+    det(Id - t M) = 1 - sum_k s_k t^k lie in Z[zeta_n], and Newton's
+    identities k s_k = P_k - sum_(j<k) s_j P_(k-j) divide exactly.  h[d] =
+    sum_k s_k h[d-k] is the numerator of the coefficient h[d] / D^d."""
 
-    The power traces p_k = tr(g^k) give the elementary symmetric functions
-    of the eigenvalues by Newton's identities, k e_k = sum_i (-1)^(i-1)
-    e_(k-i) p_i, so det(Id - t g) = sum_k (-t)^k e_k; its inverse has
-    coefficients h_d = sum_k (-1)^(k-1) e_k h_(d-k)."""
-    ell = len(g)
-    power = g
-    traces = [sum((g[i][i] for i in range(ell)), _ZERO)]
-    for _ in range(1, ell):
-        power = mat_mul(power, g)
-        traces.append(sum((power[i][i] for i in range(ell)), _ZERO))
-    e = [_ONE]
-    for k in range(1, ell + 1):
-        acc = _ZERO
-        for i in range(1, k + 1):
-            term = e[k - i] * traces[i - 1]
-            acc = acc + term if i % 2 else acc - term
-        e.append(acc * QQ(1, k))
-    h = [_ONE]
-    for d in range(1, trunc + 1):
-        acc = _ZERO
-        for k in range(1, min(d, ell) + 1):
-            if e[k]:
-                term = e[k] * h[d - k]
-                acc = acc + term if k % 2 else acc - term
-        h.append(acc)
-    return h
+    def __init__(self, g):
+        flat = [v for row in g for v in row]
+        self.n = n = math.lcm(*(v.reduce().order for v in flat))
+        nums, self.den = numerators_at(flat, n)
+        phi, ell = euler_phi(n), len(g)
+        self.table = [_power_table(n)[k % n] for k in range(2 * phi - 1)]
+        m = [[nums[e:e + phi] for e in range(r, r + ell * phi, phi)]
+             for r in range(0, ell * ell * phi, ell * phi)]
+        power, traces, self.s = m, [], []
+        for k in range(1, ell + 1):
+            if k > 1:
+                power = [[self._dot(zip(row, col)) for col in zip(*m)]
+                         for row in power]
+            diagonal = [power[i][i] for i in range(ell)]
+            traces.append(tuple(map(sum, zip(*diagonal))))
+            acc = self._dot(zip(self.s, traces[-2::-1]))
+            self.s.append(tuple((p - a) // k for p, a in zip(traces[-1], acc)))
+        self.h = [(1,) + (0,) * (phi - 1)]
+
+    def _dot(self, pairs):
+        """sum(a * b for a, b in pairs), convolved, then reduced once."""
+        conv = [0] * len(self.table)
+        for a, b in pairs:
+            for i, x in enumerate(a):
+                if x:
+                    for k, y in enumerate(b, i):
+                        conv[k] += x * y
+        return tuple(_combine(conv, self.table, len(self.table) // 2 + 1))
+
+    def extend(self, trunc: int):
+        for d in range(len(self.h), trunc + 1):
+            self.h.append(self._dot(zip(self.s, self.h[d - 1::-1])))
+
+    def shaped(self, degrees, trunc: int) -> list:
+        """The coefficients up to t^trunc times prod (1 - t^e) over
+        `degrees`, as scalars: shape_product runs on each coordinate of
+        the numerators over D^trunc."""
+        self.extend(trunc)
+        cols = [shape_product(degrees, [x * self.den ** (trunc - d)
+                                        for d, x in enumerate(col)])
+                for col in zip(*self.h[:trunc + 1])]
+        return from_numerators([x for row in zip(*cols) for x in row],
+                               self.den ** trunc, self.n)
+
+
+def class_series(g, trunc):
+    """1/det(Id - t g) up to t^trunc, as scalars, computed on integers by
+    one uncached _ClassSeries (class_series_states caches them)."""
+    return _ClassSeries(g).shaped((), trunc)
+
+
+def class_series_states(group: ReflectionGroup) -> list:
+    """The _ClassSeries of each conjugacy class, cached with the group."""
+    ctx = _ctx(group)
+    if "series" not in ctx:
+        ctx["series"] = [_ClassSeries(rep)
+                         for rep, _ in conjugacy_classes(group).classes]
+    return ctx["series"]
 
 
 def molien(group: ReflectionGroup, trunc: int) -> tuple:
     """(1/|G|) sum_g 1/det(Id - t g) up to t^trunc, as a tuple of rational
     coefficients: the coefficient of t^d is dim S^G_d.  The summand is a
-    class function, so it is evaluated once per conjugacy class and
-    weighted by the class size.  The longest tuple built is cached, and
-    shorter ones are its slices."""
+    class function: the cached series of each conjugacy class, weighted
+    by the class size and summed by dot_products on integers.  The
+    longest tuple built is cached, and shorter ones are its slices."""
     if trunc < 0:
         raise UsageError("truncation must be non-negative")
     ctx = _ctx(group)
     best = ctx.get("molien", ())
     if len(best) <= trunc:
-        total = [_ZERO] * (trunc + 1)
-        for rep, size in conjugacy_classes(group).classes:
-            for k, c in enumerate(class_series(rep, trunc)):
-                total[k] = total[k] + c * size
-        unit = QQ(1, group.order)
+        sizes = [CycloScalar.rational(k)
+                 for k in conjugacy_classes(group).sizes]
+        columns = [s.shaped((), trunc) for s in class_series_states(group)]
         coeffs = []
-        for c in total:
+        for c in dot_products([sizes], list(zip(*columns)))[0]:
             if not c.is_rational():
                 raise DomainError("Molien coefficient is not rational")
-            coeffs.append(c.as_rational() * unit)
+            coeffs.append(c.as_rational() * QQ(1, group.order))
         best = ctx["molien"] = tuple(coeffs)
     return best[:trunc + 1]
 
@@ -278,12 +311,12 @@ def harmonic_poincare(group: ReflectionGroup) -> RatPoly:
     return poin
 
 
-def shape_product(group: ReflectionGroup, coeffs) -> list:
+def shape_product(degrees, coeffs) -> list:
     """A series truncated at degree len(coeffs) - 1, times
-    prod_i (1 - t^d_i) over the invariant degrees, truncated alike; exact
-    on rational and on cyclotomic coefficients."""
+    prod_i (1 - t^d_i) over the given degrees, truncated alike; exact on
+    integer, rational and cyclotomic coefficients."""
     out = list(coeffs)
-    for d in invariant_degrees(group):
+    for d in degrees:
         for k in range(len(out) - 1, d - 1, -1):
             out[k] = out[k] - out[k - d]
     return out

@@ -1,14 +1,16 @@
 """Conjugacy classes, character tables, fake degrees, inductions."""
 
+import gc
 import hashlib
 import itertools
 import json
 import pathlib
 import random
+import weakref
 
 import pytest
 
-from reflharm import characters
+from reflharm import characters, harmonics
 from reflharm.characters import (
     TABLE_CAP,
     _charpoly_mod,
@@ -122,15 +124,70 @@ def test_graded_character_bottom_and_top(b2):
         assert top[j] == det
 
 
-def test_graded_character_sums_to_regular(b2):
-    classes = conjugacy_classes(b2)
-    totals = [CycloScalar.rational(0)] * len(classes)
-    for d in range(5):
-        for j, v in enumerate(graded_character(b2)[d]):
-            totals[j] = totals[j] + v
-    assert totals[0] == CycloScalar.rational(8)
+def test_graded_character_sums_to_regular():
+    # sum_d tr(g | H_d) is the regular character: |G| at g = 1, else 0.
+    # On complex groups g^-1 is often outside the class of g, so this runs
+    # the lookup of the inverse class; the regular character is real, so
+    # which of the two classes is read shows in the basis-trace test below
     zero = CycloScalar.rational(0)
-    assert all(v == zero for v in totals[1:])
+    groups = [catalog(name) for name in registry_names(200)]
+    assert len(groups) == 62
+    for group in groups:
+        totals = [sum(column, zero)
+                  for column in zip(*graded_character(group))]
+        assert conjugacy_classes(group).rep_indices[0] == 0
+        assert totals[0] == CycloScalar.rational(group.order), group.name
+        assert all(v == zero for v in totals[1:]), group.name
+
+
+def test_series_are_built_once_per_class_and_extended(monkeypatch):
+    # fake_degrees builds one series per conjugacy class when
+    # invariant_degrees first runs Molien, at truncation 8; its doubling to
+    # 16 and graded_character's 18 extend those states and build none
+    group = catalog("gmpn:3:1:3")
+    built, extended, phase = [], [], ["table"]
+    init, extend = harmonics._ClassSeries.__init__, harmonics._ClassSeries.extend
+
+    def spy_init(self, g):
+        built.append((phase[0], id(self)))
+        init(self, g)
+
+    def spy_extend(self, trunc):
+        extended.append((phase[0], id(self), len(self.h), trunc))
+        extend(self, trunc)
+
+    def spy_degrees(group):
+        phase[0] = "degrees"
+        out = harmonics.invariant_degrees(group)
+        phase[0] = "graded"
+        return out
+
+    monkeypatch.setattr(harmonics._ClassSeries, "__init__", spy_init)
+    monkeypatch.setattr(harmonics._ClassSeries, "extend", spy_extend)
+    monkeypatch.setattr(characters, "invariant_degrees", spy_degrees)
+    fake_degrees(group)
+    # G(3,1,3) has 22 classes, one per triple of partitions of total size 3
+    assert len(conjugacy_classes(group)) == 22
+    assert len(built) == 22 and all(p == "degrees" for p, _ in built)
+    states = {state for _, state in built}
+    assert {state for _, state, _, _ in extended} == states
+    # each state grows from h_0 to h_8, h_16 and h_18, continuing from
+    # the coefficients it holds
+    for state in states:
+        assert [(p, have, trunc) for p, s, have, trunc in extended
+                if s == state and have <= trunc] == [
+            ("degrees", 1, 8), ("degrees", 9, 16), ("graded", 17, 18)]
+
+
+def test_a_group_is_freed_with_its_cached_table_and_series():
+    # the per-group cache is held by the group, so the character table,
+    # which refers back to the group, does not keep it alive
+    group = catalog("gmpn:3:1:3")
+    fake_degrees(group)
+    ref = weakref.ref(group)
+    del group
+    gc.collect()
+    assert ref() is None
 
 
 def test_graded_character_checks_the_top_degree(b2, monkeypatch):

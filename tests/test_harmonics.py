@@ -6,7 +6,8 @@ import pytest
 
 from reflharm import harmonics, linalg
 from reflharm.errors import DomainError, UsageError, VerificationError
-from reflharm.groups import ReflectionGroup, catalog, registry_names
+from reflharm.groups import (ReflectionGroup, catalog, conjugacy_classes,
+                             registry_names)
 from reflharm.harmonics import (
     GradedBasis,
     action_matrix,
@@ -74,6 +75,96 @@ def test_molien_oracles():
     # 1/((1-t^2)(1-t^4)) by direct expansion
     assert list(series) == _inverse_degree_product([2, 4], 8)
     assert list(series) == [1, 0, 1, 0, 2, 0, 2, 0, 3]
+
+
+def _per_term_class_series(g, trunc):
+    """The reference: 1/det(Id - t g) in per-term CycloScalar arithmetic.
+    Newton's identities k e_k = sum_i (-1)^(i-1) e_(k-i) tr(g^i) give
+    det(Id - t g) = sum_k (-t)^k e_k, and its inverse has coefficients
+    h_d = sum_k (-1)^(k-1) e_k h_(d-k)."""
+    zero, ell = ONE * 0, len(g)
+    power = g
+    traces = [sum((g[i][i] for i in range(ell)), zero)]
+    for _ in range(1, ell):
+        power = mat_mul(power, g)
+        traces.append(sum((power[i][i] for i in range(ell)), zero))
+    e = [ONE]
+    for k in range(1, ell + 1):
+        acc = zero
+        for i in range(1, k + 1):
+            term = e[k - i] * traces[i - 1]
+            acc = acc + term if i % 2 else acc - term
+        e.append(acc * QQ(1, k))
+    h = [ONE]
+    for d in range(1, trunc + 1):
+        acc = zero
+        for k in range(1, min(d, ell) + 1):
+            term = e[k] * h[d - k]
+            acc = acc + term if k % 2 else acc - term
+        h.append(acc)
+    return h
+
+
+def _class_reps_and_inverses(group, conj=None):
+    """Every class representative of the group and its inverse, each
+    conjugated to conj * g * conj^-1 when conj is given."""
+    mats = []
+    for i in conjugacy_classes(group).rep_indices:
+        mats += [group.element(i), group.inverse(i)]
+    if conj is not None:
+        conj = coerce_matrix(conj)
+        conj_inv = mat_inv(conj)
+        mats = [mat_mul(mat_mul(conj, g), conj_inv) for g in mats]
+    return mats
+
+
+def test_class_series_matches_the_per_term_reference():
+    count = 0
+    for name in registry_names(1152):
+        for g in _class_reps_and_inverses(catalog(name)):
+            assert harmonics.class_series(g, 24) == \
+                _per_term_class_series(g, 24), name
+            count += 1
+    assert count == 1442
+
+
+def _zeta3():
+    return CycloScalar.root_of_unity(3)
+
+
+@pytest.mark.parametrize("name, conj", [
+    ("weyl:B:2", [[1, 1], [0, 2]]),
+    ("weyl:A:3", [[2, 1, 0], [0, 3, 1], [1, 0, 5]]),
+    ("gmpn:4:2:3", [[1, 0, 0], [0, _zeta3(), 0], [0, 0, qq("1/2")]]),
+])
+def test_class_series_of_conjugated_matrices(name, conj):
+    # the conjugates of A3 and G(4,2,3) have entries with denominators, so
+    # their series are integral only after the common denominator is
+    # taken out; those of G(4,2,3) also mix the conductors 3 and 4
+    mats = _class_reps_and_inverses(catalog(name), conj)
+    assert mats != _class_reps_and_inverses(catalog(name))
+    assert name == "weyl:B:2" or any(
+        v.den > 1 for g in mats for row in g for v in row)
+    for g in mats:
+        assert harmonics.class_series(g, 24) == _per_term_class_series(g, 24)
+
+
+@pytest.mark.parametrize("name", registry_names(1152))
+def test_class_series_of_an_inverse_is_the_conjugate(name):
+    group = catalog(name)
+    for i in conjugacy_classes(group).rep_indices:
+        ours = harmonics.class_series(group.element(i), 24)
+        inverse = harmonics.class_series(group.inverse(i), 24)
+        assert inverse == [c.conj() for c in ours]
+
+
+def test_class_series_reduces_every_power_of_zeta():
+    # 1/((1 - zeta t)(1 - zeta^3 t)) at n = 5: a product of two numerator
+    # vectors reaches zeta^6, past the n rows of the power table
+    zeta, zero = CycloScalar.root_of_unity(5), ONE * 0
+    series = harmonics.class_series([[zeta, zero], [zero, zeta ** 3]], 12)
+    assert series == [sum((zeta ** (a + 3 * (d - a)) for a in range(d + 1)),
+                          zero) for d in range(13)]
 
 
 def _textbook_degrees(name):
