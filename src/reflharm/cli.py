@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from functools import lru_cache
 
 from .characters import character_table, fake_degrees
 from .errors import CapError, DomainError, UsageError, VerificationError
@@ -46,7 +47,10 @@ class _Parser(argparse.ArgumentParser):
         raise UsageError(message)
 
 
+@lru_cache(maxsize=None)
 def _build_parser() -> _Parser:
+    """The argument parser, built once per process: parse_args fills a
+    fresh namespace on every call, so no option carries over."""
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--format", choices=("json", "text"),
                         default="json", help="output format")

@@ -226,13 +226,17 @@ class ReflectionGroup:
         return self._inv[i]
 
     def determinant(self, i: int) -> CycloScalar:
+        """det of element i, read off the closure: det is multiplicative,
+        elements[j] = elements[parent[j]] * gens[letter[j]], and parents
+        precede their children, so one determinant per generator and one
+        product per element give them all, exactly."""
         if self._dets is None:
-            self._dets = [None] * len(self.elements)
-        d = self._dets[i]
-        if d is None:
-            d = det(self.elements[i])
-            self._dets[i] = d
-        return d
+            gen_dets = [det(g) for g in self.generators]
+            dets = [CYC_ONE]
+            for p, k in zip(self._parent[1:], self._letter[1:]):
+                dets.append(dets[p] * gen_dets[k])
+            self._dets = dets
+        return self._dets[i]
 
     def element_order(self, i: int) -> int:
         if self._orders is None:
@@ -319,7 +323,10 @@ class ReflectionGroup:
             planes.append(Hyperplane(form, cov, len(idxs) + 1, tuple(idxs)))
         self._plane_of = {i: k for k, key in enumerate(order)
                           for i in buckets[key][2]}
-        self._plane_rows = [buckets[key][0] for key in order]
+        # each form's row as its nonzero (column, coefficient) pairs, the
+        # first one (the lead) with coefficient 1
+        self._plane_rows = [[(j, c) for j, c in enumerate(buckets[key][0]) if c]
+                            for key in order]
         self._hyperplanes = planes
         return planes
 
@@ -351,20 +358,33 @@ class ReflectionGroup:
         sends H to the hyperplane of g s g^-1 for any reflection s of H, and
         the form with coefficient row c to c g^-1, since
         (g L)(x) = L(g^-1 x), which must be lambda times the target's row.
+
+        Only nonzero entries are multiplied: the image of c sums c_j times
+        the nonzero entries of row j of g^-1 over the nonzero c_j.  The
+        target's lead coefficient is 1, so lambda is the image's entry
+        there; the image must equal lambda times the target on its support
+        and vanish off it.
         """
-        gi = self.inverses[i]
+        gi_rows = [[(k, v) for k, v in enumerate(row) if v]
+                   for row in self.inverses[i]]
         back = self.inverse_index(i)
         scalar = CYC_ONE
         for pl, row in zip(self.hyperplanes(), self._plane_rows):
-            coeffs = [sum((c * gi[j][k] for j, c in enumerate(row)
-                           if c and gi[j][k]), CYC_ZERO)
-                      for k in range(self.dim)]
+            image = {}
+            for j, c in row:
+                for k, v in gi_rows[j]:
+                    prev = image.get(k)
+                    image[k] = c * v if prev is None else prev + c * v
             conj = self.mul_index(self.mul_index(i, pl.reflections[0]), back)
             target = self._plane_rows[self._plane_of[conj]]
-            lam = next(coeffs[j] for j, c in enumerate(target) if c)
-            if coeffs != [lam * c for c in target]:
+            lam = image.get(target[0][0])
+            if not lam or sum(1 for v in image.values() if v) != len(target):
                 return False
-            scalar = scalar * lam ** (pl.order - 1)
+            for k, c in target[1:]:
+                v = image.get(k)
+                if v is None or v != lam * c:
+                    return False
+            scalar = scalar * (lam if pl.order == 2 else lam ** (pl.order - 1))
         return scalar == self.determinant(i)
 
     # -- subgroups

@@ -80,7 +80,8 @@ class GradedBasis:
     """Per-degree echelon bases of a graded subspace of polynomials.
     piece(d) derives a piece's coefficient rows and pivot columns once, on
     first use, and checks its reduced echelon form then; uses(d) derives
-    its nonzero pattern once."""
+    its nonzero pattern once; action_matrix keeps the inverse of each
+    matrix it substitutes on S(V*), keyed by the matrix entries."""
 
     def __init__(self, space: str, nvars: int, degrees: dict):
         self.space = space
@@ -89,18 +90,21 @@ class GradedBasis:
         self.max_degree = max(self.degrees, default=0)
         self._pieces = {}
         self._uses = {}
+        self._inverses = {}
 
     def piece(self, d: int):
         """(monomials, coefficient rows, pivot columns) of the degree-d
         piece, empty or not; UsageError unless it is homogeneous and in
-        reduced echelon form, which rref confirms without a division."""
+        reduced echelon form, which _echelon_pivots checks on the rows
+        directly, with no elimination."""
         got = self._pieces.get(d)
         if got is None:
             basis = self.basis(d)
             monos = monomials_of_degree(self.nvars, d)
             vecs = [p.coeff_vector(monos) for p in basis]
-            ech, pivots = rref(vecs)
-            if ech != vecs or any(p.homogeneous_degree() != d for p in basis):
+            pivots = _echelon_pivots(vecs)
+            if pivots is None or any(p.homogeneous_degree() != d
+                                     for p in basis):
                 raise UsageError(
                     "degree-%d piece is not in reduced echelon form" % d)
             got = self._pieces[d] = (monos, vecs, pivots)
@@ -159,6 +163,22 @@ class GradedBasis:
     def __repr__(self):
         dims = [self.dim(d) for d in range(self.max_degree + 1)]
         return "GradedBasis(%s, dims=%s)" % (self.space, dims)
+
+
+def _echelon_pivots(rows):
+    """The pivot columns of rows in reduced echelon form, or None if they
+    are not in it: each row's leading entry is 1, the pivots increase
+    strictly, and each pivot column is zero in the rows above (the rows
+    below lead further right).  Such rows are their own rref."""
+    pivots = []
+    for row in rows:
+        c = next((j for j, a in enumerate(row) if a), None)
+        if c is None or row[c] != 1 or (pivots and c <= pivots[-1]):
+            return None
+        if any(above[c] for above in rows[:len(pivots)]):
+            return None
+        pivots.append(c)
+    return pivots
 
 
 # ---------------------------------------------------------------------------
@@ -726,15 +746,19 @@ def action_matrix(graded: GradedBasis, d: int, mat):
 
     The map substitutes a linear form for each variable (the rows of
     mat^-1 on S(V*), the columns of mat on S(V)); the matrix is inverted
-    once, and each monomial the piece uses is sent through the
-    substitution once, so the basis rows only combine those images."""
+    once per graded basis (kept by its entries), and each monomial the
+    piece uses is sent through the substitution once, so the basis rows
+    only combine those images."""
     monos, ech, pivots = graded.piece(d)
     n = graded.nvars
     mat = coerce_matrix(mat)
     if len(mat) != n or any(len(row) != n for row in mat):
         raise UsageError("matrix size does not match variable count")
     if graded.space == CONTRAVARIANT:
-        sub = mat_inv(mat)
+        key = tuple(v for row in mat for v in row)
+        sub = graded._inverses.get(key)
+        if sub is None:
+            sub = graded._inverses[key] = mat_inv(mat)
     else:
         sub = [list(col) for col in zip(*mat)]
     totals = [{} for _ in ech]

@@ -741,7 +741,9 @@ def from_numerators(nums, den: int, n: int) -> list:
 
 def dot_products(rows, cols) -> list:
     """Entry (r, s) is sum_j rows[r][j] * cols[s][j], inside Q(zeta_n) for
-    n the lcm of the entries' minimal conductors (a rational at 1).
+    n the lcm of the entries' stored conductors (a rational at 1).  Every
+    entry's conductor divides n, so none is reduced first, and power-basis
+    coordinates at a fixed n are unique, so the values do not depend on n.
 
     Each row and column is written once as integers over one denominator.
     At n > 1 an entry's phi(n) numerators are packed into one int at base
@@ -749,7 +751,7 @@ def dot_products(rows, cols) -> list:
     products; every coefficient of the packed sum is at most
     B = K * phi * max|a| * max|b| in absolute value, and shift exceeds the
     bit length of 2B, so signed digits read them back exactly."""
-    n = math.lcm(*(v.reduce().order for vec in (*rows, *cols) for v in vec))
+    n = math.lcm(*(v.order for vec in (*rows, *cols) for v in vec))
     rows = [numerators_at(vec, n) for vec in rows]
     cols = [numerators_at(vec, n) for vec in cols]
     if n == 1:

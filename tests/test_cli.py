@@ -9,7 +9,7 @@ import pytest
 
 from reflharm import characters, harmonics, weyl
 from reflharm.characters import character_table
-from reflharm.cli import main
+from reflharm.cli import DEGREE_CAP, GROUP_CAP, _build_parser, main
 from reflharm.groups import catalog, registry_names, weyl_group
 from reflharm.mpoly import MPoly
 from reflharm.scalars import RatPoly
@@ -120,6 +120,25 @@ def test_out_unwritable(capsys, tmp_path):
     assert code == 1
     assert "usage error: cannot write %s" % target in err
     assert not target.exists()
+
+
+def test_parser_is_reused_without_leaking_options(capsys):
+    # one parser per process: text with a small degree, then a usage error
+    # after the same options, then defaults, which must be JSON to degree 4
+    assert _build_parser() is _build_parser()
+    code, out, _ = run_cli(capsys, "harmonics", "--catalog", "weyl:B:2",
+                           "--format", "text", "--max-degree", "1")
+    assert code == 0 and out.startswith("harmonics of weyl:B:2\n")
+    code, out, err = run_cli(capsys, "harmonics", "--catalog", "weyl:B:2",
+                             "--format", "text", "--max-degree", "1",
+                             "--bogus")
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --bogus" in err
+    data = run_json(capsys, "harmonics", "--catalog", "weyl:B:2")
+    assert set(data["degrees"]) == {"0", "1", "2", "3", "4"}
+    args = _build_parser().parse_args(["harmonics", "--catalog", "cyclic:2"])
+    assert (args.format, args.out, args.max_degree, args.generators,
+            args.group_cap) == ("json", None, DEGREE_CAP, None, GROUP_CAP)
 
 
 def test_harmonics_cyclic(capsys):

@@ -13,8 +13,8 @@ from reflharm.groups import (
     registry_names,
     weyl_group,
 )
-from reflharm.linalg import (identity_matrix, kernel_basis, mat_inv, mat_mul,
-                             mat_vec, rank)
+from reflharm.linalg import (det, identity_matrix, kernel_basis, mat_inv,
+                             mat_mul, mat_vec, rank)
 from reflharm.mpoly import MPoly, CONTRAVARIANT, coerce_matrix
 from reflharm.scalars import CycloScalar
 
@@ -121,6 +121,60 @@ def test_skewness_detects_a_wrong_hyperplane_row(name):
     g = catalog(name)
     g.hyperplanes()
     g._plane_rows[0] = g._plane_rows[1]
+    assert not all(g.check_skewness(i) for i in range(g.order))
+
+
+def test_determinants_off_the_closure_match_det():
+    # oracle: the products along the closure's parent links against a
+    # determinant of each element matrix
+    for name in registry_names(200):
+        g = catalog(name)
+        for i in range(g.order):
+            assert g.determinant(i) == det(g.element(i)), (name, i)
+
+
+@pytest.mark.parametrize("name", ["weyl:B:3", "weyl:A:3", "gmpn:3:1:3",
+                                  "gmpn:4:2:2"])
+def test_skewness_detects_a_wrong_determinant(name):
+    g = catalog(name)
+    bad = g.order // 2
+    g.determinant(bad)
+    g._dets[bad] = -g._dets[bad]
+    assert [i for i in range(g.order) if not g.check_skewness(i)] == [bad]
+
+
+@pytest.mark.parametrize("name", ["weyl:B:3", "weyl:A:3", "gmpn:3:1:3"])
+def test_skewness_detects_an_extra_entry_in_a_hyperplane_row(name):
+    g = catalog(name)
+    g.hyperplanes()
+    row = g._plane_rows[0]
+    k = max(set(range(g.dim)) - {j for j, _ in row})
+    g._plane_rows[0] = sorted(row + [(k, ONE)], key=lambda t: t[0])
+    assert not all(g.check_skewness(i) for i in range(g.order))
+
+
+def _cut_down(ra, rb):
+    return len(rb) < len(ra) and set(rb) <= set(ra)
+
+
+def _same_support(ra, rb):
+    return ra != rb and [j for j, _ in ra] == [j for j, _ in rb]
+
+
+@pytest.mark.parametrize("name", ["weyl:B:3", "gmpn:3:1:3"])
+@pytest.mark.parametrize("related", [_cut_down, _same_support])
+def test_skewness_compares_the_image_with_its_target(name, related):
+    # send the reflections of plane a to a plane b with the same lead, whose
+    # row is a's row cut down to fewer entries (only the image's entries off
+    # b's row tell) or has the same support and other coefficients (only
+    # the comparison on the support tells)
+    g = catalog(name)
+    g.hyperplanes()
+    rows = g._plane_rows
+    a, b = next((a, b) for a, ra in enumerate(rows) for b, rb in enumerate(rows)
+                if rb[0][0] == ra[0][0] and related(ra, rb))
+    for i in g.hyperplanes()[a].reflections:
+        g._plane_of[i] = b
     assert not all(g.check_skewness(i) for i in range(g.order))
 
 

@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 import pathlib
 
@@ -794,20 +795,41 @@ def test_action_matrix_needs_reduced_echelon_basis(basis):
         fixed_point_basis(GradedBasis.from_json(data), catalog("weyl:B:2"))
 
 
+@pytest.mark.parametrize("height,width", [(1, 4), (2, 3), (3, 2), (3, 3)])
+def test_echelon_check_accepts_exactly_the_rref_fixed_points(height, width):
+    # oracle: rows are in reduced echelon form iff rref returns them as
+    # they are; every matrix over a few values, a non-rational one included
+    values = [ONE * 0, ONE, -ONE, CycloScalar.root_of_unity(3)]
+    if height * width > 6:
+        values = values[:2]
+    accepted = 0
+    for flat in itertools.product(values, repeat=height * width):
+        rows = [list(flat[r * width:(r + 1) * width]) for r in range(height)]
+        ech, pivots = rref(rows)
+        want = pivots if ech == rows else None
+        assert harmonics._echelon_pivots(rows) == want, rows
+        accepted += want is not None
+    # more rows than columns can never be in reduced echelon form
+    assert bool(accepted) == (height <= width)
+
+
 def test_piece_echelon_form_is_derived_once(monkeypatch):
     graded = GradedBasis.from_json(harmonic_basis(catalog("weyl:B:2")).to_json())
     calls = []
-    real = harmonics.rref
+    real = harmonics._echelon_pivots
 
     def counting(rows):
         calls.append(len(rows))
         return real(rows)
 
-    monkeypatch.setattr(harmonics, "rref", counting)
+    monkeypatch.setattr(harmonics, "_echelon_pivots", counting)
     swap = [[ONE * 0, ONE], [ONE, ONE * 0]]
     first = action_matrix(graded, 2, swap)
     assert action_matrix(graded, 2, swap) == first
     assert calls == [2]
+    action_matrix(graded, 3, swap)
+    action_matrix(graded, 2, [[ONE, ONE * 0], [ONE * 0, -ONE]])
+    assert calls == [2, 2]
 
 
 def test_graded_basis_json_roundtrip():
