@@ -35,12 +35,12 @@ from .groups import ReflectionGroup
 from .harmonics import (
     GradedBasis,
     _harmonic_coords,
-    action_matrix,
     by_degree,
     fixed_point_basis,
     harmonic_basis,
     harmonic_poincare,
     invariant_degrees,
+    substituted_action,
 )
 from .linalg import (echelon_coordinates, kron_apply, kron_vec, mat_inv,
                      mat_mul, rref, vec_mat)
@@ -335,9 +335,11 @@ def equivariance_check(group, subgroup, n_mat) -> bool:
     fixed = _fixed_harmonics(ctx, group, subgroup, CONTRAVARIANT)
     bigH = harmonic_basis(group)
     mu = _mu(ctx, group, subgroup)
-    sub_act = {i: action_matrix(subH, i, mat) for i in subH.degrees}
-    fix_act = {j: action_matrix(fixed, j, mat) for j in fixed.degrees}
-    big_act = {d: action_matrix(bigH, d, mat) for d in {i + j for i, j in mu}}
+    # all three bases are on S(V*), where n acts by substituting n^-1
+    sub_act = {i: substituted_action(subH, i, inv) for i in subH.degrees}
+    fix_act = {j: substituted_action(fixed, j, inv) for j in fixed.degrees}
+    big_act = {d: substituted_action(bigH, d, inv)
+               for d in {i + j for i, j in mu}}
     for (i, j), m in mu.items():
         if kron_apply(sub_act[i], fix_act[j], m) != \
                 mat_mul(m, big_act[i + j]):

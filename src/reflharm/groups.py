@@ -384,7 +384,7 @@ class ReflectionGroup:
                 v = image.get(k)
                 if v is None or v != lam * c:
                     return False
-            scalar = scalar * (lam if pl.order == 2 else lam ** (pl.order - 1))
+            scalar = scalar * lam ** (pl.order - 1)
         return scalar == self.determinant(i)
 
     # -- subgroups

@@ -80,8 +80,7 @@ class GradedBasis:
     """Per-degree echelon bases of a graded subspace of polynomials.
     piece(d) derives a piece's coefficient rows and pivot columns once, on
     first use, and checks its reduced echelon form then; uses(d) derives
-    its nonzero pattern once; action_matrix keeps the inverse of each
-    matrix it substitutes on S(V*), keyed by the matrix entries."""
+    its nonzero pattern once."""
 
     def __init__(self, space: str, nvars: int, degrees: dict):
         self.space = space
@@ -90,7 +89,6 @@ class GradedBasis:
         self.max_degree = max(self.degrees, default=0)
         self._pieces = {}
         self._uses = {}
-        self._inverses = {}
 
     def piece(self, d: int):
         """(monomials, coefficient rows, pivot columns) of the degree-d
@@ -713,18 +711,20 @@ def fixed_point_basis(graded: GradedBasis, subgroup: ReflectionGroup) -> GradedB
 
     The fixed coordinates are the common left kernel of A_g - Id over the
     subgroup's generators g, A_g = action_matrix(graded, d, g), so no group
-    average is taken.  A generator that moves a piece out of itself raises
-    a diagnostic error.
+    average is taken; each generator's substitution is formed once for all
+    degrees.  A generator that moves a piece out of itself raises a
+    diagnostic error.
     """
     if subgroup.dim != graded.nvars:
         raise UsageError("subgroup dimension does not match the basis")
+    subs = [substitution(graded, g) for g in subgroup.generators]
     out = {}
     for d in sorted(graded.degrees):
         k = graded.dim(d)
         columns = []
-        for g in subgroup.generators:
+        for sub in subs:
             try:
-                act = action_matrix(graded, d, g)
+                act = substituted_action(graded, d, sub)
             except VerificationError:
                 raise VerificationError(
                     "subgroup does not stabilize the degree-%d piece" % d
@@ -744,23 +744,30 @@ def action_matrix(graded: GradedBasis, d: int, mat):
     are the entries at the piece's pivot columns.  Raises a diagnostic
     error when an image leaves the piece.
 
-    The map substitutes a linear form for each variable (the rows of
-    mat^-1 on S(V*), the columns of mat on S(V)); the matrix is inverted
-    once per graded basis (kept by its entries), and each monomial the
-    piece uses is sent through the substitution once, so the basis rows
-    only combine those images."""
-    monos, ech, pivots = graded.piece(d)
+    The map substitutes a linear form for each variable, see
+    `substitution`."""
+    return substituted_action(graded, d, substitution(graded, mat))
+
+
+def substitution(graded: GradedBasis, mat):
+    """The rows sub with X_i -> sum_j sub[i][j] X_j the substitution by
+    which `mat` acts on the polynomials of `graded`: the rows of mat^-1 on
+    S(V*), the columns of mat on S(V).  A caller acting by one matrix on
+    several pieces forms this once and calls `substituted_action`."""
     n = graded.nvars
     mat = coerce_matrix(mat)
     if len(mat) != n or any(len(row) != n for row in mat):
         raise UsageError("matrix size does not match variable count")
     if graded.space == CONTRAVARIANT:
-        key = tuple(v for row in mat for v in row)
-        sub = graded._inverses.get(key)
-        if sub is None:
-            sub = graded._inverses[key] = mat_inv(mat)
-    else:
-        sub = [list(col) for col in zip(*mat)]
+        return mat_inv(mat)
+    return [list(col) for col in zip(*mat)]
+
+
+def substituted_action(graded: GradedBasis, d: int, sub):
+    """action_matrix on the degree-d piece, given the `substitution` of
+    the matrix.  Each monomial the piece uses is sent through the
+    substitution once, so the basis rows only combine those images."""
+    monos, ech, pivots = graded.piece(d)
     totals = [{} for _ in ech]
     uses = graded.uses(d)
     for t, image in _monomial_images(sub, [m for m, _ in uses]):

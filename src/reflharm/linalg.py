@@ -108,9 +108,9 @@ def rref_integer(rows):
     and each row's content is divided out.  Columns and pivots go in the
     same order as in `rref`, and zero rows are dropped as they appear.  The
     pivot row r_k is one with the least |p| in its column: the other rows
-    are scaled by p/g, so a small pivot keeps their entries small.  When
-    p/g is 1 or -1, r_i is copied or negated and (f/g) r_k subtracted on
-    the nonzero entries of r_k only; otherwise the whole row is rescaled.
+    are scaled by p/g, so a small pivot keeps their entries small.  The
+    scaled copy of r_i has (f/g) r_k subtracted on the nonzero entries of
+    r_k only.
 
     Returns (rows, pivot_columns): every row primitive with a positive
     pivot and every pivot column cleared in the other rows, so each row is
@@ -137,14 +137,10 @@ def rref_integer(rows):
             if f and i != r:
                 g = gcd(p, f)
                 pg, fg = p // g, f // g
-                if pg == 1 or pg == -1:
-                    row_i = row_i[:] if pg == 1 else [-a for a in row_i]
-                    for j, b in support:
-                        row_i[j] -= fg * b
-                    row_i = _primitive(row_i)
-                else:
-                    row_i = _primitive([pg * a - fg * b if b else pg * a
-                                        for a, b in zip(row_i, row_r)])
+                row_i = row_i[:] if pg == 1 else [pg * a for a in row_i]
+                for j, b in support:
+                    row_i[j] -= fg * b
+                row_i = _primitive(row_i)
                 if row_i is None:
                     continue
             kept.append(row_i)

@@ -564,14 +564,19 @@ class CycloScalar:
     def __pow__(self, k: int):
         if k < 0:
             return self.inv() ** (-k)
-        result = CycloScalar.rational(1)
+        if not k:
+            return CycloScalar.rational(1)
+        # square-and-multiply from the base itself, with no square past the
+        # highest bit: self ** 1 is self, self ** 2 one product
+        result = None
         base = self
-        while k:
+        while True:
             if k & 1:
-                result = result * base
-            base = base * base
+                result = base if result is None else result * base
             k >>= 1
-        return result
+            if not k:
+                return result
+            base = base * base
 
     def _galois(self, k: int) -> "CycloScalar":
         """The conjugate under zeta |-> zeta^k, for k prime to the order."""

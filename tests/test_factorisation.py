@@ -352,6 +352,25 @@ def test_equivariance_check_moves_and_projects_no_tensor(monkeypatch):
         assert equivariance_check(group, sub, mat)
 
 
+def test_equivariance_check_inverts_the_normalizer_once(monkeypatch):
+    # the three bases are on S(V*), so the inverse taken for the
+    # normaliser test is the substitution of every degree piece
+    group, sub = _pair("weyl:B:3", [0, 1])
+    verify_factorisation(group, sub)
+    calls = []
+
+    def counting(mat):
+        calls.append(1)
+        return mat_inv(mat)
+
+    monkeypatch.setattr(factorisation, "mat_inv", counting)
+    monkeypatch.setattr(harmonics, "mat_inv", counting)
+    for _, mat in factorisation._builtin_normalizers(group, sub):
+        calls.clear()
+        assert equivariance_check(group, sub, mat)
+        assert len(calls) == 1
+
+
 @settings(max_examples=40, deadline=None)
 @given(st.data())
 def test_kron_apply_matches_the_dense_kronecker_product(data):

@@ -681,6 +681,27 @@ def test_rational_fixed_point_basis_inverts_no_scalar(monkeypatch):
     assert fixed.dimension() == b3.order // sub.order
 
 
+@pytest.mark.parametrize("space", [CONTRAVARIANT, COVARIANT])
+def test_fixed_point_basis_inverts_each_generator_once(monkeypatch, space):
+    """The substitution of each subgroup generator is formed once for all
+    degree pieces: one inversion per generator on S(V*), none on S(V)."""
+    b3 = catalog("weyl:B:3")
+    H = harmonic_basis(b3, space=space)
+    sub = b3.reflection_subgroup([0, 1])
+    want = fixed_point_basis(H, sub)
+    calls = []
+
+    def counting(mat):
+        calls.append(1)
+        return mat_inv(mat)
+
+    monkeypatch.setattr(harmonics, "mat_inv", counting)
+    assert fixed_point_basis(H, sub) == want
+    assert len(H.degrees) > 1
+    assert len(calls) == (len(sub.generators) if space == CONTRAVARIANT
+                          else 0)
+
+
 @pytest.mark.parametrize("preset", ["C2:long-A1A1", "C3:A1C2"])
 def test_fixed_points_in_two_steps(preset):
     w, wc, wprime, cgroup = _normalizer_pair(preset)

@@ -128,6 +128,30 @@ def test_eighth_root_identities():
     assert z8.conj() == z8 ** 7
 
 
+def test_power_is_repeated_product_with_no_spare_square(monkeypatch):
+    x = CycloScalar.root_of_unity(12) + CycloScalar.rational(QQ(1, 3))
+    products = []
+    real = CycloScalar.__mul__
+
+    def counting(a, b):
+        products.append(1)
+        return real(a, b)
+
+    acc = CycloScalar.rational(1)
+    for k in range(13):
+        monkeypatch.setattr(CycloScalar, "__mul__", counting)
+        products.clear()
+        got = x ** k
+        # square-and-multiply: bit_length - 1 squares, popcount - 1 products
+        want = max(k.bit_length() - 1, 0) + max(bin(k).count("1") - 1, 0)
+        assert len(products) == want, k
+        monkeypatch.undo()
+        assert got == acc, k
+        assert x ** -k * acc == 1, k
+        acc = acc * x
+    assert x ** 1 is x
+
+
 def test_root_powers_cycle():
     for n in (1, 2, 3, 4, 5, 6, 8, 12):
         z = CycloScalar.root_of_unity(n)
